@@ -180,7 +180,6 @@ fn serve_phase(dir: &std::path::Path) -> ServePhase {
 
     let config = ServeConfig::builder()
         .max_batch(32)
-        .max_queue_wait(Duration::from_micros(200))
         .model_budget_bytes(budget)
         .store_dir(Some(dir.to_path_buf()))
         .build()

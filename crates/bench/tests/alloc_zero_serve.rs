@@ -13,7 +13,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use targad_core::{OodStrategy, Runtime, TargAd, TargAdConfig};
 use targad_data::GeneratorSpec;
@@ -152,7 +151,6 @@ fn main() {
     let flat: Vec<f64> = (0..rows).flat_map(|r| x.row(r).to_vec()).collect();
     let config = ServeConfig::builder()
         .max_batch(16)
-        .max_queue_wait(Duration::from_micros(200))
         .build()
         .expect("valid config");
     let registry = Arc::new(ModelRegistry::new(snapshot));

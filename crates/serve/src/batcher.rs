@@ -2,13 +2,13 @@
 //!
 //! Concurrent callers each submit a handful of rows; a single worker
 //! thread coalesces whatever is queued into fused `ScoreEngine` passes
-//! (`targad-nn`) under a
-//! max-wait/max-batch policy: the first queued request starts a batch
-//! window of [`ServeConfig::max_queue_wait`](crate::ServeConfig), and the
-//! batch executes as soon as [`ServeConfig::max_batch`](crate::ServeConfig)
-//! rows are queued or the window closes — whichever comes first. Lightly
-//! loaded servers thus stay at single-request latency while loaded ones
-//! amortize the batched-inference advantage across callers.
+//! (`targad-nn`). The policy is natural batching, with no linger: the
+//! worker blocks for the first job, drains every job already queued
+//! behind it until [`ServeConfig::max_batch`](crate::ServeConfig) rows are
+//! collected, and executes at once. An idle server therefore scores a
+//! lone request at single-request latency, while under load the backlog
+//! that builds up during one pass becomes the next batch, amortizing the
+//! batched-inference advantage across callers exactly when it pays.
 //!
 //! Every submission resolves its tenant to a concrete
 //! `(Arc<ModelSnapshot>, generation)` pair *on the request thread*, so a
@@ -16,7 +16,7 @@
 //! eviction between enqueue and execution can drop the registry's
 //! reference but never tear the job. The worker groups coalesced jobs by
 //! that pair and runs one fused pass per distinct model — rows of
-//! different tenants batch independently but ride the same window.
+//! different tenants batch independently but ride the same drain.
 //!
 //! The queue is bounded by row count: submissions that would exceed
 //! [`ServeConfig::queue_depth`](crate::ServeConfig) are rejected
@@ -29,7 +29,7 @@
 //! `micro_batching.rs` integration tests pin this down.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -67,7 +67,7 @@ pub struct ScoredRow {
 /// high-water mark has no meaningful delta, so it stays instance-scoped.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatcherStats {
-    /// Micro-batches executed (one per distinct model per window).
+    /// Micro-batches executed (one per distinct model per drain).
     pub batches: u64,
     /// Rows scored.
     pub rows: u64,
@@ -144,11 +144,10 @@ impl MicroBatcher {
         let worker_shared = Arc::clone(&shared);
         let precision = registry.precision();
         let max_batch = config.max_batch;
-        let max_wait = config.max_queue_wait;
         let worker = std::thread::Builder::new()
             .name("targad-serve-batcher".into())
             .spawn(move || {
-                worker_loop(rx, worker_shared, runtime, precision, max_batch, max_wait);
+                worker_loop(rx, worker_shared, runtime, precision, max_batch);
             })
             .expect("spawn batcher worker");
         // Pre-intern the default tenant so the very first request's label
@@ -354,7 +353,6 @@ fn worker_loop(
     runtime: Runtime,
     precision: EnginePrecision,
     max_batch: usize,
-    max_wait: std::time::Duration,
 ) {
     loop {
         // Block for the batch's first job; a disconnect here means every
@@ -365,13 +363,12 @@ fn worker_loop(
         };
         let mut jobs = vec![first];
         let mut rows = jobs[0].n;
-        // Whatever queued up while the previous batch executed coalesces
-        // for free — drain it before consulting the clock, or a backlogged
-        // first job (enqueued longer than max_wait ago) would execute
-        // alone and the batcher would degrade to one row per batch exactly
-        // when batching matters most. Jobs are never split, so a multi-row
-        // job may overshoot max_batch; the policy bounds when we *stop
-        // adding*, not the final fill.
+        // Coalesce whatever queued up while the previous batch executed,
+        // then execute at once: waiting for stragglers would only add
+        // latency, since the next pass picks up anything that arrives
+        // meanwhile. Jobs are never split, so a multi-row job may
+        // overshoot max_batch; the policy bounds when we *stop adding*,
+        // not the final fill.
         while rows < max_batch {
             match rx.try_recv() {
                 Ok(job) => {
@@ -381,24 +378,7 @@ fn worker_loop(
                 Err(_) => break,
             }
         }
-        // Under-filled: wait out the remainder of the first job's window
-        // for stragglers.
-        let deadline = jobs[0].enqueued + max_wait;
-        while rows < max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(job) => {
-                    rows += job.n;
-                    jobs.push(job);
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        // One fused pass per distinct (model, generation) in the window:
+        // One fused pass per distinct (model, generation) in the drain:
         // multi-tenant traffic batches per model, and a job enqueued just
         // before a hot-swap still scores on the snapshot it resolved.
         let mut groups: Vec<Vec<Job>> = Vec::new();
@@ -440,7 +420,7 @@ fn execute_group(
         row_params.extend(std::iter::repeat_n((job.strategy, job.tau), job.n));
     }
     // Batch-level phase wall times: every job in the group shares the
-    // window, so each trace gets the whole coalesce/engine duration.
+    // pass, so each trace gets the whole coalesce/engine duration.
     let coalesce_ns = elapsed_ns(started);
     let x = Matrix::from_vec(batch_rows, dims, data);
     // Precision is a property of the registry (weights were cast/packed at

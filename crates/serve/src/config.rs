@@ -2,7 +2,6 @@
 
 use std::fmt;
 use std::path::PathBuf;
-use std::time::Duration;
 
 use targad_core::{EnginePrecision, OodStrategy, TargAdError};
 
@@ -19,11 +18,11 @@ pub struct ServeConfig {
     /// TCP port to bind; `0` asks the OS for an ephemeral port (the
     /// default — tests and benches read the bound port off the handle).
     pub port: u32,
-    /// Maximum rows coalesced into one micro-batch (default 64).
+    /// Maximum rows coalesced into one micro-batch (default 64). The
+    /// batcher never lingers for traffic: it executes as soon as it has
+    /// drained the requests already queued, up to this many rows, so the
+    /// bound only bites under a backlog.
     pub max_batch: usize,
-    /// Longest a queued request waits for co-batchable traffic before its
-    /// (possibly underfull) batch executes anyway (default 1 ms).
-    pub max_queue_wait: Duration,
     /// Maximum rows queued ahead of the batcher before new requests are
     /// rejected with backpressure (default 1024).
     pub queue_depth: usize,
@@ -70,7 +69,6 @@ impl Default for ServeConfig {
             host: "127.0.0.1".into(),
             port: 0,
             max_batch: 64,
-            max_queue_wait: Duration::from_millis(1),
             queue_depth: 1024,
             default_strategy: OodStrategy::Msp,
             precision: EnginePrecision::F64,
@@ -115,12 +113,6 @@ impl ServeConfig {
         }
         if self.max_batch == 0 {
             return bad("max_batch", "must be positive".into());
-        }
-        if self.max_queue_wait.is_zero() || self.max_queue_wait > Duration::from_secs(5) {
-            return bad(
-                "max_queue_wait",
-                format!("must be in (0, 5s], got {:?}", self.max_queue_wait),
-            );
         }
         if self.queue_depth < self.max_batch {
             return bad(
@@ -169,8 +161,6 @@ impl ServeConfigBuilder {
         port: u32,
         /// Maximum rows coalesced into one micro-batch.
         max_batch: usize,
-        /// Longest a queued request waits before its batch executes.
-        max_queue_wait: Duration,
         /// Maximum queued rows before backpressure rejection.
         queue_depth: usize,
         /// OOD strategy when a request does not select one.
@@ -303,7 +293,6 @@ mod tests {
         let c = ServeConfig::builder()
             .port(8080)
             .max_batch(16)
-            .max_queue_wait(Duration::from_micros(500))
             .queue_depth(64)
             .default_strategy(OodStrategy::EnergyScore)
             .precision(EnginePrecision::F32)
@@ -311,7 +300,6 @@ mod tests {
             .unwrap();
         assert_eq!(c.port, 8080);
         assert_eq!(c.max_batch, 16);
-        assert_eq!(c.max_queue_wait, Duration::from_micros(500));
         assert_eq!(c.queue_depth, 64);
         assert_eq!(c.default_strategy, OodStrategy::EnergyScore);
         assert_eq!(c.precision, EnginePrecision::F32);
@@ -334,22 +322,6 @@ mod tests {
         assert_eq!(
             field_of(ServeConfig::builder().max_batch(0).build()),
             "max_batch"
-        );
-        assert_eq!(
-            field_of(
-                ServeConfig::builder()
-                    .max_queue_wait(Duration::ZERO)
-                    .build()
-            ),
-            "max_queue_wait"
-        );
-        assert_eq!(
-            field_of(
-                ServeConfig::builder()
-                    .max_queue_wait(Duration::from_secs(6))
-                    .build()
-            ),
-            "max_queue_wait"
         );
         assert_eq!(
             field_of(ServeConfig::builder().queue_depth(1).build()),

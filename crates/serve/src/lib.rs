@@ -14,8 +14,10 @@
 //!   snapshots (`targad-store`) on first use.
 //! - [`MicroBatcher`] ([`batcher`]): a bounded queue plus a worker that
 //!   coalesces concurrent score requests into fused
-//!   `ScoreEngine` passes under a max-wait/max-batch policy, amortizing
-//!   the batched-inference advantage across independent callers. Tenants
+//!   `ScoreEngine` passes: it drains whatever is queued (up to
+//!   `max_batch` rows) and executes at once, never lingering, so the
+//!   backlog under load amortizes the batched-inference advantage across
+//!   independent callers. Tenants
 //!   resolve to their model at submit time, so an LRU eviction never
 //!   tears an in-flight batch. Queue depth,
 //!   batch fill, and wait times feed the `targad-obs` registry.

@@ -282,10 +282,12 @@ impl ModelRegistry {
         self.fault_in(name)
     }
 
-    /// Loads `<store_dir>/<name>.tgsnp` and admits it. Runs the disk load
-    /// outside any lock; a concurrent fault-in of the same tenant is
-    /// resolved by whoever inserts first (the loser adopts the winner's
-    /// entry).
+    /// Loads `<store_dir>/<name>.tgsnp` and admits it, returning the
+    /// snapshot it installed. Runs the disk load outside any lock; racing
+    /// fault-ins of the same tenant each admit their own load (the later
+    /// insert replaces the earlier), and each caller scores on the
+    /// snapshot it installed — even if an eviction removes it again
+    /// before this returns.
     fn fault_in(&self, name: &str) -> Result<(Arc<ModelSnapshot>, u64), ServeError> {
         let Some(dir) = &self.store_dir else {
             return Err(ServeError::UnknownTenant(name.to_string()));
@@ -297,13 +299,7 @@ impl ModelRegistry {
         let model = targad_store::load(&path)
             .map_err(|e| ServeError::Io(format!("tenant `{name}` snapshot: {e}")))?;
         let snapshot = ModelSnapshot::new(model.classifier, model.thresholds, name);
-        let generation = self.admit(name, snapshot)?;
-        let tenants = self.tenants.read().expect("registry lock poisoned");
-        let entry = tenants.map.get(name).expect("just admitted");
-        // A racing admit may have installed a newer generation; serve
-        // whatever is resident now.
-        let _ = generation;
-        Ok((Arc::clone(&entry.snapshot), entry.generation))
+        self.admit(name, snapshot)
     }
 
     /// Admits `snapshot` as tenant `name`, evicting least-recently-used
@@ -326,10 +322,17 @@ impl ModelRegistry {
             // Loading "default" is a hot-swap of the pinned tenant.
             return self.try_swap(snapshot);
         }
-        self.admit(name, snapshot)
+        self.admit(name, snapshot).map(|(_, generation)| generation)
     }
 
-    fn admit(&self, name: &str, snapshot: ModelSnapshot) -> Result<u64, ServeError> {
+    /// Installs `snapshot` as tenant `name` and returns the installed
+    /// `(snapshot, generation)` pair, taken under the same write lock as
+    /// the insert.
+    fn admit(
+        &self,
+        name: &str,
+        snapshot: ModelSnapshot,
+    ) -> Result<(Arc<ModelSnapshot>, u64), ServeError> {
         let started = Instant::now();
         if self.precision == EnginePrecision::F32 {
             snapshot.classifier.warm_f32();
@@ -339,10 +342,11 @@ impl ModelRegistry {
         let freed = tenants.map.get(name).map_or(0, |e| e.bytes);
         self.make_room(&mut tenants, bytes, freed, name)?;
         let generation = self.installs.fetch_add(1, Ordering::AcqRel) + 1;
+        let snapshot = Arc::new(snapshot);
         if let Some(old) = tenants.map.insert(
             name.to_string(),
             TenantEntry {
-                snapshot: Arc::new(snapshot),
+                snapshot: Arc::clone(&snapshot),
                 generation,
                 bytes,
                 last_used: AtomicU64::new(self.tick()),
@@ -354,7 +358,7 @@ impl ModelRegistry {
         tenants.set_gauge();
         set_tenant_bytes(name, bytes);
         metrics::STORE_ADMIT_NS.record_always(elapsed_ns(started));
-        Ok(generation)
+        Ok((snapshot, generation))
     }
 
     /// Evicts unpinned tenants in LRU order until `bytes` fits beside
@@ -608,5 +612,55 @@ mod tests {
             registry.resolve(Some("t1")),
             Err(ServeError::UnknownTenant(_))
         ));
+    }
+
+    #[test]
+    fn fault_in_racing_an_eviction_never_panics() {
+        let dir = std::env::temp_dir().join(format!("targad-registry-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let tenant = snapshot("t");
+        targad_store::save(
+            &tenant.classifier,
+            &tenant.thresholds,
+            EnginePrecision::F64,
+            dir.join("t.tgsnp"),
+        )
+        .unwrap();
+        let registry = ModelRegistry::with_options(
+            snapshot("default"),
+            EnginePrecision::F64,
+            0,
+            Some(dir.clone()),
+        )
+        .unwrap();
+
+        // One thread faults `t` in over and over while another evicts it
+        // as fast as it can, so evictions land between the admit and the
+        // return of a fault-in.
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let faults = std::thread::scope(|s| {
+            let evictor = s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    registry.evict_tenant("t");
+                }
+            });
+            let faults = s
+                .spawn(|| {
+                    for _ in 0..10_000 {
+                        let (held, generation) = registry.resolve(Some("t")).expect("fault-in");
+                        assert_eq!(held.tag, "t");
+                        assert!(generation >= 2);
+                    }
+                })
+                .join();
+            // Stop the evictor even when a fault-in panicked.
+            done.store(true, Ordering::Release);
+            evictor.join().expect("evictor thread");
+            faults
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
+        if let Err(panic) = faults {
+            std::panic::resume_unwind(panic);
+        }
     }
 }

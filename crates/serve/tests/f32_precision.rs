@@ -7,7 +7,6 @@
 mod common;
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use targad_core::OodStrategy;
 use targad_runtime::Runtime;
@@ -43,7 +42,6 @@ fn f32_batches_match_the_classifier_f32_path_bit_for_bit() {
     assert_eq!(registry.precision(), EnginePrecision::F32);
     let config = ServeConfig::builder()
         .max_batch(64)
-        .max_queue_wait(Duration::from_micros(200))
         .precision(EnginePrecision::F32)
         .build()
         .expect("valid config");

@@ -24,7 +24,6 @@ fn hot_swap_under_concurrent_scoring_loses_nothing() {
 
     let config = ServeConfig::builder()
         .max_batch(32)
-        .max_queue_wait(Duration::from_micros(500))
         .queue_depth(4096)
         .build()
         .expect("valid config");

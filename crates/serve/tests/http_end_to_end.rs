@@ -34,7 +34,6 @@ fn serves_verdicts_swaps_models_and_shuts_down() {
     let config = ServeConfig::builder()
         .port(0)
         .max_batch(32)
-        .max_queue_wait(Duration::from_micros(500))
         .build()
         .expect("valid config");
     let mut handle = Server::start(config, snap_a.clone(), Runtime::new(2)).expect("server boots");

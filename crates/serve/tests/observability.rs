@@ -5,8 +5,6 @@
 
 mod common;
 
-use std::time::Duration;
-
 use targad_core::EnginePrecision;
 use targad_runtime::Runtime;
 use targad_serve::{Client, Json, ServeConfig, Server};
@@ -48,7 +46,6 @@ fn metrics_access_log_and_request_ids_cover_both_tenants() {
 
     let config = ServeConfig::builder()
         .max_batch(16)
-        .max_queue_wait(Duration::from_micros(300))
         .store_dir(Some(dir.clone()))
         .access_log(Some(log_path.clone()))
         .build()

@@ -46,7 +46,6 @@ fn tenants_fault_in_score_and_evict_over_http() {
 
     let config = ServeConfig::builder()
         .max_batch(16)
-        .max_queue_wait(Duration::from_micros(300))
         .store_dir(Some(dir.clone()))
         .build()
         .expect("valid config");
@@ -161,7 +160,6 @@ fn lru_budget_holds_under_churn_and_never_tears_in_flight_batches() {
 
     let config = ServeConfig::builder()
         .max_batch(32)
-        .max_queue_wait(Duration::from_micros(200))
         .model_budget_bytes(budget)
         .store_dir(Some(dir.clone()))
         .build()
