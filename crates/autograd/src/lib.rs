@@ -21,10 +21,8 @@
 //! autoencoders, and the paper's losses need.
 
 pub mod check;
-pub mod prune;
 pub mod store;
 pub mod tape;
 
-pub use prune::{force_grad_prune, grad_prune_enabled, GradPruneGuard};
 pub use store::{GradSet, ParamId, VarStore};
 pub use tape::{Tape, Var};

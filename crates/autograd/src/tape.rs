@@ -124,8 +124,7 @@ pub struct Tape {
     /// Per-node needs-gradient mask, recomputed by each backward sweep
     /// (capacity retained across steps, so steady state stays
     /// allocation-free). `needs[i]` is `true` when node `i`'s gradient can
-    /// reach a `Param` leaf; with dead-gradient pruning enabled
-    /// ([`crate::prune`]), branches where it cannot are skipped entirely.
+    /// reach a `Param` leaf; branches where it cannot are skipped entirely.
     needs: Vec<bool>,
     pool: Pool,
 }
@@ -525,47 +524,45 @@ impl Tape {
 
         // Needs-gradient reachability: a node's gradient matters only if it
         // can flow into a `Param` leaf. Nothing in the crate exposes
-        // non-param gradients, so when pruning is enabled the sweep skips
-        // every branch that only feeds constant `Input` leaves (the first
-        // layer's `dX`, label-matrix gradients, …). Operands always precede
-        // their consumers on the tape, so one forward pass suffices. With
-        // pruning disabled every node "needs" its gradient and the sweep is
-        // exactly the historical full sweep.
-        let prune = crate::prune::grad_prune_enabled();
+        // non-param gradients, so the sweep skips every branch that only
+        // feeds constant `Input` leaves (the first layer's `dX`,
+        // label-matrix gradients, …); the gradients it does compute run the
+        // same kernels in the same order as a full sweep. Operands always
+        // precede their consumers on the tape, so one forward pass
+        // suffices.
         needs.clear();
         for node in nodes.iter() {
-            let nd = !prune
-                || match node.op {
-                    Op::Input => false,
-                    Op::Param(_) => true,
-                    Op::MatMul(a, b)
-                    | Op::Add(a, b)
-                    | Op::Sub(a, b)
-                    | Op::MulElem(a, b)
-                    | Op::AddRowBroadcast(a, b)
-                    | Op::MulColBroadcast(a, b) => needs[a.0] || needs[b.0],
-                    Op::Dense(x, w, b, _) => needs[x.0] || needs[w.0] || needs[b.0],
-                    Op::Scale(a, _)
-                    | Op::AddScalar(a)
-                    | Op::Relu(a)
-                    | Op::LeakyRelu(a, _)
-                    | Op::Sigmoid(a)
-                    | Op::Tanh(a)
-                    | Op::Exp(a)
-                    | Op::Ln(a)
-                    | Op::Abs(a)
-                    | Op::Square(a)
-                    | Op::Sqrt(a)
-                    | Op::Recip(a)
-                    | Op::Neg(a)
-                    | Op::Transpose(a)
-                    | Op::SumAll(a)
-                    | Op::MeanAll(a)
-                    | Op::SumDiv(a, _)
-                    | Op::RowSum(a)
-                    | Op::SoftmaxRows(a)
-                    | Op::LogSoftmaxRows(a) => needs[a.0],
-                };
+            let nd = match node.op {
+                Op::Input => false,
+                Op::Param(_) => true,
+                Op::MatMul(a, b)
+                | Op::Add(a, b)
+                | Op::Sub(a, b)
+                | Op::MulElem(a, b)
+                | Op::AddRowBroadcast(a, b)
+                | Op::MulColBroadcast(a, b) => needs[a.0] || needs[b.0],
+                Op::Dense(x, w, b, _) => needs[x.0] || needs[w.0] || needs[b.0],
+                Op::Scale(a, _)
+                | Op::AddScalar(a)
+                | Op::Relu(a)
+                | Op::LeakyRelu(a, _)
+                | Op::Sigmoid(a)
+                | Op::Tanh(a)
+                | Op::Exp(a)
+                | Op::Ln(a)
+                | Op::Abs(a)
+                | Op::Square(a)
+                | Op::Sqrt(a)
+                | Op::Recip(a)
+                | Op::Neg(a)
+                | Op::Transpose(a)
+                | Op::SumAll(a)
+                | Op::MeanAll(a)
+                | Op::SumDiv(a, _)
+                | Op::RowSum(a)
+                | Op::SoftmaxRows(a)
+                | Op::LogSoftmaxRows(a) => needs[a.0],
+            };
             needs.push(nd);
         }
 

@@ -3,13 +3,11 @@
 //! three matrix sizes, plus the classifier's dominant GEMM sequence
 //! (forward `x·w`, backward `x^T·g` and `g·w^T` at 1024×256×256) timed on
 //! both the blocked kernels and the retained pre-blocking `reference`
-//! kernels, plus the Table II shape sweep timing the default training
-//! path (fused backward + tiled small GEMMs + dead-gradient pruning)
-//! against the reproduced pre-PR path with arms interleaved in-process.
+//! kernels, plus the Table II shape sweep timing one training step
+//! (fused backward, tiled small GEMMs, dead-gradient pruning) per shape.
 //! Writes `results/bench_training.json`; the recorded
 //! `speedup_clf_gemm_1024x256x256` is the acceptance metric for the
-//! blocked-GEMM rewrite (must stay ≥ 2) and `speedup_step_table2` the one
-//! for the training fast path (≥ 1.4×).
+//! blocked-GEMM rewrite (must stay ≥ 2).
 //!
 //! Set `TARGAD_BENCH_QUICK=1` for a seconds-long smoke run (CI uses this to
 //! catch kernel regressions without paying full measurement budgets).
@@ -17,11 +15,11 @@
 use criterion::Criterion;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-use targad_autograd::{force_grad_prune, Tape, VarStore};
+use targad_autograd::{Tape, VarStore};
 use targad_core::{Runtime, TargAd, TargAdConfig};
 use targad_data::GeneratorSpec;
-use targad_linalg::{force_small_gemm, matrix::reference, rng as lrng, Matrix};
-use targad_nn::{force_fused_backward, Activation, Adam, AutoEncoder, Mlp, Optimizer};
+use targad_linalg::{matrix::reference, rng as lrng, Matrix};
+use targad_nn::{Activation, Adam, AutoEncoder, Mlp, Optimizer};
 
 fn quick_mode() -> bool {
     std::env::var("TARGAD_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
@@ -75,11 +73,10 @@ fn bench_ae_step(c: &mut Criterion) {
 /// `1024x256x256` entry is the acceptance-criteria size.
 const CLF_SHAPES: [(usize, usize, usize); 3] = [(256, 64, 64), (512, 128, 128), (1024, 256, 256)];
 
-/// One pooled-tape classifier step on the fused default path: MLP forward
-/// (one `Dense` node per layer), cross-entropy against one-hot
-/// pseudo-labels, backward, Adam update.
+/// One pooled-tape classifier step: MLP forward (one `Dense` node per
+/// layer), cross-entropy against one-hot pseudo-labels, backward, Adam
+/// update.
 fn bench_clf_step(c: &mut Criterion) {
-    let _arm = targad_nn::force_fused_backward(true);
     let mut group = c.benchmark_group("training_clf_step");
     tune(&mut group);
     for (batch, d, hidden) in CLF_SHAPES {
@@ -115,58 +112,6 @@ fn bench_clf_step(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-/// Per-step speedup of the fused backward over the retained unfused
-/// triplet (`speedup_step_fused_*` in the JSON), with the small-GEMM and
-/// pruning gates at their defaults in both arms so only fusion differs.
-/// Measured on the Table II classifier shards — the workload the fused
-/// small-path kernels were built for — with the same interleaved,
-/// order-alternating, min-of-rounds protocol as the Table II sweep:
-/// criterion's independent groups drift too much on shared hosts for a
-/// cross-group ratio to mean anything.
-fn measure_fused_step() -> Vec<(String, f64)> {
-    let (warmup, iters, rounds) = if quick_mode() { (2, 3, 1) } else { (20, 60, 5) };
-    let mut out = Vec::new();
-    for d in TABLE2_DIMS {
-        let batch = 128usize;
-        let mut fused_arm = ClfArm::new(batch, d);
-        let mut unfused_arm = ClfArm::new(batch, d);
-        let mut best_fused = u64::MAX;
-        let mut best_unfused = u64::MAX;
-        for round in 0..rounds {
-            let warmup = if round == 0 { warmup } else { 0 };
-            let mut fused_ns = 0u64;
-            let mut unfused_ns = 0u64;
-            for i in 0..warmup + iters {
-                let run = |fused: bool, arm: &mut ClfArm, ns: &mut u64| {
-                    let _f = force_fused_backward(fused);
-                    let t0 = Instant::now();
-                    arm.step();
-                    if i >= warmup {
-                        *ns += t0.elapsed().as_nanos() as u64;
-                    }
-                };
-                if i % 2 == 0 {
-                    run(true, &mut fused_arm, &mut fused_ns);
-                    run(false, &mut unfused_arm, &mut unfused_ns);
-                } else {
-                    run(false, &mut unfused_arm, &mut unfused_ns);
-                    run(true, &mut fused_arm, &mut fused_ns);
-                }
-            }
-            best_fused = best_fused.min(fused_ns);
-            best_unfused = best_unfused.min(unfused_ns);
-        }
-        let speedup = best_unfused as f64 / best_fused.max(1) as f64;
-        println!(
-            "fused-step clf {batch}x{d}: fused {:.4} ms  unfused {:.4} ms  speedup {speedup:.2}x",
-            best_fused as f64 / 1e6 / iters as f64,
-            best_unfused as f64 / 1e6 / iters as f64,
-        );
-        out.push((format!("clf_{batch}x{d}"), speedup));
-    }
-    out
 }
 
 /// The Table II dataset dimensionalities: quick-demo (12), KDD (32),
@@ -261,92 +206,35 @@ impl AeArm {
     }
 }
 
-/// Per-step speedup of the default training path over the reproduced
-/// pre-PR path on the Table II shape sweep — the PR's acceptance metric.
-///
-/// The default arm runs fused backward + register-tiled small GEMMs +
-/// dead-gradient pruning; the pre-PR arm pins all three gates off
-/// (unfused triplet backward, scalar-below-`BLOCK_MIN_FLOPS` dispatch,
-/// full gradient sweeps), reproducing the step exactly as the previous
-/// commit ran it. Each shape trains two identical models with the arms
-/// interleaved round-robin in one process, so CPU frequency drift hits
-/// both arms equally — criterion's independent-group protocol cannot
-/// guarantee that, and on shared hosts the cross-group jitter swamps the
-/// effect being measured. The arm order alternates every iteration
-/// (cache-eviction and scheduler bias hit whichever arm runs second), and
-/// each arm's time is the *minimum* per-step total over several rounds:
-/// contention only ever inflates a round, so the minimum is the
-/// least-noisy estimate of the true step cost.
+/// Per-step wall time of the classifier and AE steps on the Table II
+/// shape sweep, in milliseconds. Each step's time is the *minimum*
+/// per-step mean over several rounds: contention only ever inflates a
+/// round, so the minimum is the least-noisy estimate of the true step
+/// cost.
 fn measure_table2_sweep() -> Vec<(String, f64)> {
     let (warmup, iters, rounds) = if quick_mode() { (2, 5, 1) } else { (20, 60, 5) };
     let mut sweep = Vec::new();
     for d in TABLE2_DIMS {
         let batch = 128usize;
-        type ArmPair<'a> = (&'a str, Box<dyn FnMut()>, Box<dyn FnMut()>);
-        let arms: [ArmPair; 2] = {
-            let mut clf_new = ClfArm::new(batch, d);
-            let mut clf_pre = ClfArm::new(batch, d);
-            let mut ae_new = AeArm::new(batch, d);
-            let mut ae_pre = AeArm::new(batch, d);
-            [
-                (
-                    "clf",
-                    Box::new(move || clf_new.step()) as Box<dyn FnMut()>,
-                    Box::new(move || clf_pre.step()) as Box<dyn FnMut()>,
-                ),
-                (
-                    "ae",
-                    Box::new(move || ae_new.step()),
-                    Box::new(move || ae_pre.step()),
-                ),
-            ]
-        };
-        for (kind, mut new_step, mut pre_step) in arms {
-            let mut best_new = u64::MAX;
-            let mut best_pre = u64::MAX;
-            for round in 0..rounds {
-                let warmup = if round == 0 { warmup } else { 0 };
-                let mut new_ns = 0u64;
-                let mut pre_ns = 0u64;
-                for i in 0..warmup + iters {
-                    let mut run_new = |new_ns: &mut u64| {
-                        let _f = force_fused_backward(true);
-                        let _s = force_small_gemm(true);
-                        let _p = force_grad_prune(true);
-                        let t0 = Instant::now();
-                        new_step();
-                        if i >= warmup {
-                            *new_ns += t0.elapsed().as_nanos() as u64;
-                        }
-                    };
-                    let mut run_pre = |pre_ns: &mut u64| {
-                        let _f = force_fused_backward(false);
-                        let _s = force_small_gemm(false);
-                        let _p = force_grad_prune(false);
-                        let t0 = Instant::now();
-                        pre_step();
-                        if i >= warmup {
-                            *pre_ns += t0.elapsed().as_nanos() as u64;
-                        }
-                    };
-                    if i % 2 == 0 {
-                        run_new(&mut new_ns);
-                        run_pre(&mut pre_ns);
-                    } else {
-                        run_pre(&mut pre_ns);
-                        run_new(&mut new_ns);
-                    }
-                }
-                best_new = best_new.min(new_ns);
-                best_pre = best_pre.min(pre_ns);
+        let mut clf = ClfArm::new(batch, d);
+        let mut ae = AeArm::new(batch, d);
+        let steps: [(&str, &mut dyn FnMut()); 2] =
+            [("clf", &mut || clf.step()), ("ae", &mut || ae.step())];
+        for (kind, step) in steps {
+            for _ in 0..warmup {
+                step();
             }
-            let speedup = best_pre as f64 / best_new.max(1) as f64;
-            println!(
-                "table2 {kind} {batch}x{d}: new {:.4} ms  pre-pr {:.4} ms  speedup {speedup:.2}x",
-                best_new as f64 / 1e6 / iters as f64,
-                best_pre as f64 / 1e6 / iters as f64,
-            );
-            sweep.push((format!("{kind}_{batch}x{d}"), speedup));
+            let mut best_ns = u64::MAX;
+            for _ in 0..rounds {
+                let t0 = Instant::now();
+                for _ in 0..iters {
+                    step();
+                }
+                best_ns = best_ns.min(t0.elapsed().as_nanos() as u64);
+            }
+            let ms = best_ns as f64 / 1e6 / iters as f64;
+            println!("table2 {kind} {batch}x{d}: {ms:.4} ms/step");
+            sweep.push((format!("{kind}_{batch}x{d}"), ms));
         }
     }
     sweep
@@ -361,7 +249,6 @@ fn measure_dispatch_mix() -> (u64, u64, u64) {
     use targad_obs::metrics::{
         GEMM_KERNEL_DISPATCHES, GEMM_NAIVE_DISPATCHES, GEMM_SMALL_DISPATCHES,
     };
-    let _arm = targad_nn::force_fused_backward(true);
     GEMM_NAIVE_DISPATCHES.reset();
     GEMM_SMALL_DISPATCHES.reset();
     GEMM_KERNEL_DISPATCHES.reset();
@@ -525,16 +412,9 @@ fn write_dp_json(results: &[(String, f64)]) {
 
 /// Writes `results/bench_training.json`: every benchmark mean, the
 /// blocked-vs-reference speedup on the acceptance-size GEMM sequence, the
-/// per-shape and mean fused-vs-unfused step speedups, the Table II
-/// default-vs-pre-PR step sweep (`speedup_step_table2` is this PR's
-/// acceptance metric, ≥ 1.4×), and the training GEMM dispatch mix (naive
+/// Table II per-step times, and the training GEMM dispatch mix (naive
 /// share must be < 10%, asserted before this runs).
-fn write_json(
-    results: &[(String, f64)],
-    dispatch: (u64, u64, u64),
-    sweep: &[(String, f64)],
-    fused_steps: &[(String, f64)],
-) {
+fn write_json(results: &[(String, f64)], dispatch: (u64, u64, u64), sweep: &[(String, f64)]) {
     let mean_of = |name: &str| {
         results
             .iter()
@@ -546,12 +426,6 @@ fn write_json(
     let blocked = mean_of("clf_gemm_1024x256x256/blocked");
     let reference = mean_of("clf_gemm_1024x256x256/reference");
     let speedup = ratio(reference, blocked);
-
-    let speedup_step_fused = if fused_steps.is_empty() {
-        0.0
-    } else {
-        fused_steps.iter().map(|&(_, s)| s).sum::<f64>() / fused_steps.len() as f64
-    };
 
     let (naive, small, blk) = dispatch;
     let total_dispatch = (naive + small + blk).max(1);
@@ -571,23 +445,11 @@ fn write_json(
     out.push_str(&format!(
         "  ],\n  \"speedup_clf_gemm_1024x256x256\": {speedup:.2},\n"
     ));
-    for (shape, s) in fused_steps {
-        out.push_str(&format!("  \"speedup_step_fused_{shape}\": {s:.2},\n"));
+    for (label, ms) in sweep {
+        out.push_str(&format!("  \"step_ms_table2_{label}\": {ms:.4},\n"));
     }
-    for (label, s) in sweep {
-        out.push_str(&format!("  \"speedup_step_table2_{label}\": {s:.2},\n"));
-    }
-    let speedup_table2 = if sweep.is_empty() {
-        0.0
-    } else {
-        // Geometric mean: the shapes span two orders of magnitude of step
-        // cost, and a single outlier ratio should not carry the headline.
-        (sweep.iter().map(|&(_, s)| s.max(1e-9).ln()).sum::<f64>() / sweep.len() as f64).exp()
-    };
     out.push_str(&format!(
-        "  \"speedup_step_table2\": {speedup_table2:.2},\n  \
-         \"speedup_step_fused\": {speedup_step_fused:.2},\n  \
-         \"gemm_dispatches_naive\": {naive},\n  \
+        "  \"gemm_dispatches_naive\": {naive},\n  \
          \"gemm_dispatches_small\": {small},\n  \
          \"gemm_dispatches_blocked\": {blk},\n  \
          \"gemm_dispatch_naive_share\": {naive_share:.4}\n}}\n"
@@ -597,25 +459,23 @@ fn write_json(
     std::fs::create_dir_all(path.parent().expect("parent")).expect("create results dir");
     std::fs::write(&path, out).expect("write bench_training.json");
     println!(
-        "\nwrote {} (gemm speedup {speedup:.2}x, fused-step speedup {speedup_step_fused:.2}x, \
-         table2 step speedup {speedup_table2:.2}x, naive dispatch share {:.1}%)",
+        "\nwrote {} (gemm speedup {speedup:.2}x, naive dispatch share {:.1}%)",
         path.display(),
         naive_share * 100.0
     );
 }
 
 fn main() {
-    // The acceptance sweeps run first, on a cold box: the criterion groups
+    // The step sweep runs first, on a cold box: the criterion groups
     // below sustain load long enough to heat shared hosts and skew
     // whatever measures after them.
     let sweep = measure_table2_sweep();
-    let fused_steps = measure_fused_step();
     let mut criterion = Criterion::default();
     bench_ae_step(&mut criterion);
     bench_clf_step(&mut criterion);
     bench_clf_gemm(&mut criterion);
     bench_fit_dp(&mut criterion);
     let dispatch = measure_dispatch_mix();
-    write_json(criterion.results(), dispatch, &sweep, &fused_steps);
+    write_json(criterion.results(), dispatch, &sweep);
     write_dp_json(criterion.results());
 }

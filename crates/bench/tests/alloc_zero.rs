@@ -117,28 +117,19 @@ fn steady_state_training_steps_allocate_nothing() {
         assert_eq!(n, 0, "classifier step {i} performed {n} heap allocations");
     }
 
-    // ---- Both backward arms, telemetry cold and hot --------------------
-    // The fused Dense path must hold the same contract as the unfused
-    // reference arm, and the backward sub-phase timers (one `Instant` pair
-    // per node, two `record_ns` per sweep) must not allocate either.
-    for fused in [true, false] {
-        let _arm = targad_nn::force_fused_backward(fused);
-        // Re-warm: switching arms changes the node layout and the pooled
-        // buffer shapes the sweep requests.
-        for _ in 0..3 {
-            clf_step();
+    // ---- Telemetry cold and hot ------------------------------------------
+    // The backward sub-phase timers (one `Instant` pair per node, two
+    // `record_ns` per sweep) must not allocate either.
+    for telemetry in [false, true] {
+        targad_obs::set_enabled(telemetry);
+        clf_step();
+        for i in 0..5 {
+            let n = count_allocs(&mut clf_step);
+            assert_eq!(
+                n, 0,
+                "step {i} (telemetry={telemetry}) performed {n} allocations"
+            );
         }
-        for telemetry in [false, true] {
-            targad_obs::set_enabled(telemetry);
-            clf_step();
-            for i in 0..5 {
-                let n = count_allocs(&mut clf_step);
-                assert_eq!(
-                    n, 0,
-                    "step {i} (fused={fused}, telemetry={telemetry}) performed {n} allocations"
-                );
-            }
-            targad_obs::set_enabled(false);
-        }
+        targad_obs::set_enabled(false);
     }
 }

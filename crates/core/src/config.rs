@@ -199,20 +199,6 @@ impl TargAdConfig {
         Ok(())
     }
 
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    /// Panics on non-positive rates/sizes or `alpha` outside `(0, 1)`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_validate`, which returns a typed error"
-    )]
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
     /// Concrete autoencoder layer dims for input dimensionality `d`.
     pub fn ae_dims(&self, d: usize) -> Vec<usize> {
         let mut dims = vec![d];
@@ -357,15 +343,6 @@ mod tests {
             c.try_validate(),
             Err(TargAdError::InvalidConfig { field: "alpha", .. })
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    #[allow(deprecated)]
-    fn deprecated_validate_still_panics() {
-        let mut c = TargAdConfig::paper();
-        c.alpha = 0.0;
-        c.validate();
     }
 
     #[test]

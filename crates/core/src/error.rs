@@ -30,6 +30,16 @@ pub enum TargAdError {
         /// The uncalibrated strategy.
         strategy: crate::OodStrategy,
     },
+    /// A training feature is NaN or infinite. From `TargAd::fit`, `row` is
+    /// the row of the dataset; from `TargAd::fit_view`, it counts the rows
+    /// of [`crate::TrainView::labeled`] first, then those of
+    /// [`crate::TrainView::unlabeled`].
+    NonFinite {
+        /// Row of the offending cell.
+        row: usize,
+        /// Column of the offending cell.
+        col: usize,
+    },
     /// Feature dimensionality differs from the fitted model's.
     DimMismatch {
         /// Dimensionality the model was trained with.
@@ -65,6 +75,12 @@ impl fmt::Display for TargAdError {
                     strategy.name()
                 )
             }
+            TargAdError::NonFinite { row, col } => {
+                write!(
+                    f,
+                    "training feature at row {row}, column {col} is not finite"
+                )
+            }
             TargAdError::DimMismatch { expected, got } => {
                 write!(
                     f,
@@ -93,6 +109,9 @@ mod tests {
             .to_string()
             .contains("3"));
         assert!(TargAdError::NotFitted.to_string().contains("fit"));
+        assert!(TargAdError::NonFinite { row: 5, col: 2 }
+            .to_string()
+            .contains("row 5, column 2"));
         assert!(TargAdError::DimMismatch {
             expected: 4,
             got: 7

@@ -519,18 +519,6 @@ impl TargAd {
         })
     }
 
-    /// Creates an unfitted model.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid.
-    #[deprecated(since = "0.1.0", note = "use `try_new`, which returns a typed error")]
-    pub fn new(config: TargAdConfig) -> Self {
-        match Self::try_new(config) {
-            Ok(model) => model,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Replaces the execution runtime used for inference.
     pub fn with_runtime(mut self, runtime: Runtime) -> Self {
         self.runtime = runtime;
@@ -550,9 +538,12 @@ impl TargAd {
     /// Runs Algorithm 1 on `train`.
     ///
     /// # Errors
-    /// [`TargAdError::NoLabeledAnomalies`] if `D_L` is empty and
+    /// [`TargAdError::NoLabeledAnomalies`] if `D_L` is empty,
     /// [`TargAdError::TooFewUnlabeled`] if `D_U` is smaller than the number
-    /// of requested clusters.
+    /// of requested clusters, and [`TargAdError::NonFinite`] naming the
+    /// first NaN or infinite feature by its row in `train` (labeled rows are
+    /// scanned before unlabeled ones). All are checked before any training
+    /// work starts.
     pub fn fit(&mut self, train: &Dataset, seed: u64) -> Result<(), TargAdError> {
         self.fit_observed(train, seed, &mut NullObserver)
     }
@@ -573,29 +564,18 @@ impl TargAd {
         seed: u64,
         observer: &mut dyn TrainObserver,
     ) -> Result<(), TargAdError> {
-        self.fit_view_observed(&TrainView::from_dataset(train), seed, observer)
-    }
-
-    /// Like [`TargAd::fit`], invoking `monitor(epoch, classifier)` after
-    /// every classifier epoch — used to trace test AUPRC per epoch
-    /// (Fig. 3b).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `fit_observed` (typed `TrainObserver` events) or \
-                `Detector::fit_traced` (per-epoch probe scores)"
-    )]
-    pub fn fit_with_monitor(
-        &mut self,
-        train: &Dataset,
-        seed: u64,
-        mut monitor: impl FnMut(usize, &Classifier),
-    ) -> Result<(), TargAdError> {
-        self.fit_inner(
-            &TrainView::from_dataset(train),
-            seed,
-            &mut NullObserver,
-            &mut monitor,
-        )
+        match self.fit_view_observed(&TrainView::from_dataset(train), seed, observer) {
+            // Map the view's labeled-then-unlabeled row back to `train`.
+            Err(TargAdError::NonFinite { row, col }) => {
+                let labeled = train.labeled_indices();
+                let row = match labeled.get(row) {
+                    Some(&i) => i,
+                    None => train.unlabeled_indices()[row - labeled.len()],
+                };
+                Err(TargAdError::NonFinite { row, col })
+            }
+            result => result,
+        }
     }
 
     /// Runs Algorithm 1 on a [`TrainView`] — the [`Detector`] entry point.
@@ -607,7 +587,9 @@ impl TargAd {
     /// never depends on truth.
     ///
     /// # Errors
-    /// Same contract as [`TargAd::fit`].
+    /// Same contract as [`TargAd::fit`], except that a
+    /// [`TargAdError::NonFinite`] row counts the rows of
+    /// [`TrainView::labeled`] first, then those of [`TrainView::unlabeled`].
     pub fn fit_view(&mut self, view: &TrainView, seed: u64) -> Result<(), TargAdError> {
         self.fit_view_observed(view, seed, &mut NullObserver)
     }
@@ -616,7 +598,7 @@ impl TargAd {
     /// [`TrainView`] variant of [`TargAd::fit_observed`].
     ///
     /// # Errors
-    /// Same contract as [`TargAd::fit`].
+    /// Same contract as [`TargAd::fit_view`].
     pub fn fit_view_observed(
         &mut self,
         view: &TrainView,
@@ -624,24 +606,6 @@ impl TargAd {
         observer: &mut dyn TrainObserver,
     ) -> Result<(), TargAdError> {
         self.fit_inner(view, seed, observer, &mut |_, _| {})
-    }
-
-    /// [`TargAd::fit_view`] with a per-epoch classifier monitor.
-    ///
-    /// # Errors
-    /// Same contract as [`TargAd::fit`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `fit_view_observed` (typed `TrainObserver` events) or \
-                `Detector::fit_traced` (per-epoch probe scores)"
-    )]
-    pub fn fit_view_with_monitor(
-        &mut self,
-        view: &TrainView,
-        seed: u64,
-        mut monitor: impl FnMut(usize, &Classifier),
-    ) -> Result<(), TargAdError> {
-        self.fit_inner(view, seed, &mut NullObserver, &mut monitor)
     }
 
     /// The one fit implementation behind every public entry point: runs
@@ -667,6 +631,17 @@ impl TargAd {
                 have: xu.rows(),
                 need,
             });
+        }
+        // One scan of every training cell: a NaN or infinity would
+        // otherwise surface deep inside candidate selection as a panic.
+        let first_non_finite = |x: &Matrix| {
+            let i = x.as_slice().iter().position(|v| !v.is_finite())?;
+            Some((i / x.cols(), i % x.cols()))
+        };
+        if let Some((row, col)) =
+            first_non_finite(xl).or_else(|| first_non_finite(xu).map(|(r, c)| (xl.rows() + r, c)))
+        {
+            return Err(TargAdError::NonFinite { row, col });
         }
 
         let m = labeled_classes.iter().copied().max().map_or(1, |c| c + 1);
@@ -1171,31 +1146,6 @@ impl TargAd {
     ) -> Result<ScoreOutput, TargAdError> {
         self.try_verdict_matrix(&dataset.features, strategy)
     }
-
-    /// Target-anomaly scores (Eq. 9) for each row of `x`.
-    ///
-    /// # Panics
-    /// Panics when unfitted or on a dimensionality mismatch.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_score_matrix`, which returns a typed error"
-    )]
-    pub fn score_matrix(&self, x: &Matrix) -> Vec<f64> {
-        self.try_score_matrix(x).expect("TargAd::score_matrix")
-    }
-
-    /// Convenience: scores a whole [`Dataset`].
-    ///
-    /// # Panics
-    /// Panics when unfitted or on a dimensionality mismatch.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_score_dataset`, which returns a typed error"
-    )]
-    pub fn score_dataset(&self, dataset: &Dataset) -> Vec<f64> {
-        self.try_score_dataset(dataset)
-            .expect("TargAd::score_dataset")
-    }
 }
 
 impl Detector for TargAd {
@@ -1418,6 +1368,39 @@ mod tests {
         );
     }
 
+    /// A NaN or infinite training cell, labeled or unlabeled, is reported
+    /// as a typed error before any training work.
+    #[test]
+    fn fit_rejects_non_finite_features() {
+        let bundle = GeneratorSpec::quick_demo().generate(29);
+        let labeled = bundle.train.labeled_indices();
+        let unlabeled = bundle.train.unlabeled_indices();
+        // (dataset row, row of the same cell in the training view, where
+        // labeled rows come first).
+        let cases = [(labeled[3], 3), (unlabeled[17], labeled.len() + 17)];
+        for (row, view_row) in cases {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let mut poisoned = bundle.train.clone();
+                poisoned.features[(row, 4)] = bad;
+                let mut model = TargAd::try_new(TargAdConfig::fast()).expect("valid config");
+                assert_eq!(
+                    model.fit(&poisoned, 29),
+                    Err(TargAdError::NonFinite { row, col: 4 }),
+                    "{bad} at dataset row {row}"
+                );
+                assert_eq!(
+                    model.fit_view(&TrainView::from_dataset(&poisoned), 29),
+                    Err(TargAdError::NonFinite {
+                        row: view_row,
+                        col: 4
+                    }),
+                    "{bad} at view row {view_row}"
+                );
+                assert_eq!(model.classifier().err(), Some(TargAdError::NotFitted));
+            }
+        }
+    }
+
     #[test]
     fn unfitted_model_errors() {
         let model = TargAd::try_new(TargAdConfig::fast()).expect("valid config");
@@ -1528,20 +1511,25 @@ mod tests {
         }
     }
 
-    /// The deprecated monitor shim must keep working until removal.
+    /// `Detector::fit_traced` reports probe scores after every classifier
+    /// epoch, and the last report is the fitted model's score.
     #[test]
-    #[allow(deprecated)]
-    fn monitor_is_called_every_epoch() {
+    fn fit_traced_reports_every_epoch() {
         let bundle = GeneratorSpec::quick_demo().generate(10);
+        let view = TrainView::from_dataset(&bundle.train);
+        let probe = &bundle.test.features;
         let mut model = TargAd::try_new(TargAdConfig::fast()).expect("valid config");
         let mut calls = Vec::new();
+        let mut last = Vec::new();
         model
-            .fit_with_monitor(&bundle.train, 10, |epoch, clf| {
-                assert_eq!(clf.input_dim(), 12);
+            .fit_traced(&view, 10, probe, &mut |epoch, scores| {
+                assert_eq!(scores.len(), probe.rows());
                 calls.push(epoch);
+                last = scores;
             })
             .expect("fit");
         assert_eq!(calls, (0..model.config().clf_epochs).collect::<Vec<_>>());
+        assert_eq!(last, model.try_score_matrix(probe).expect("fitted"));
     }
 
     /// The observer API delivers one epoch event per configured epoch with

@@ -223,22 +223,6 @@ pub(crate) fn verdict_of_row_f32(
     (f64::from(best), class)
 }
 
-/// Three-way prediction: 0 = normal, 1 = target anomaly, 2 = non-target
-/// anomaly. `tau` is the strategy's target-likeness threshold.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Classifier::verdicts` / `TargAd::try_verdict_matrix`, \
-            which return a structured `ScoreOutput`"
-)]
-pub fn classify_three_way(
-    clf: &Classifier,
-    x: &Matrix,
-    strategy: OodStrategy,
-    tau: f64,
-) -> Vec<usize> {
-    clf.verdicts(x, strategy, tau).three_way_codes()
-}
-
 /// Calibrates the target/non-target threshold on validation data by
 /// maximizing macro-F1 over a grid of candidate thresholds drawn from the
 /// validation scores of predicted-anomalous rows.
@@ -299,21 +283,6 @@ pub fn calibrate_tau(
         }
     }
     best_tau
-}
-
-/// Former name of [`calibrate_tau`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `calibrate_tau`, or `TargAd::calibrate_thresholds` to \
-            cache every strategy's threshold on the fitted model"
-)]
-pub fn calibrate_threshold(
-    clf: &Classifier,
-    val_x: &Matrix,
-    val_truth3: &[usize],
-    strategy: OodStrategy,
-) -> f64 {
-    calibrate_tau(clf, val_x, val_truth3, strategy)
 }
 
 #[cfg(test)]
@@ -379,29 +348,6 @@ mod tests {
         assert_eq!(OodStrategy::parse("nope"), None);
         for (i, s) in OodStrategy::all().into_iter().enumerate() {
             assert_eq!(s.index(), i);
-        }
-    }
-
-    #[test]
-    fn deprecated_shims_match_the_new_surface() {
-        let bundle = GeneratorSpec::quick_demo().generate(29);
-        let mut model = TargAd::try_new(TargAdConfig::fast()).expect("valid config");
-        model.fit(&bundle.train, 29).expect("fit");
-        let clf = model.classifier().unwrap();
-        let truth = bundle.val.three_way_labels();
-        #[allow(deprecated)]
-        for strategy in OodStrategy::all() {
-            let tau = calibrate_threshold(clf, &bundle.val.features, &truth, strategy);
-            assert_eq!(
-                tau,
-                calibrate_tau(clf, &bundle.val.features, &truth, strategy)
-            );
-            let pred = classify_three_way(clf, &bundle.test.features, strategy, tau);
-            assert_eq!(
-                pred,
-                clf.verdicts(&bundle.test.features, strategy, tau)
-                    .three_way_codes()
-            );
         }
     }
 

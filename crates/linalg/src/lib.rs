@@ -35,7 +35,6 @@ pub use f32kernel::{
 };
 pub use matrix::{
     dense_backward_bias_into, dense_backward_data_into, dense_backward_weights_into,
-    force_small_gemm, matmul_bias_act_rows_into, stable_sigmoid, stable_sigmoid_f32, EpiAct,
-    Matrix, SmallGemmGuard, BLOCK_MIN_FLOPS,
+    matmul_bias_act_rows_into, stable_sigmoid, stable_sigmoid_f32, EpiAct, Matrix,
 };
 pub use shared::{F64Buffer, SharedBuffer};

@@ -980,16 +980,6 @@ const KC: usize = 256;
 /// Output-row block: one packed A block spans `MC x KC` (512 KiB / 8 =
 /// 128 KiB at f64) and stays L2-resident across the `j` sweep.
 const MC: usize = 64;
-/// The pre-tiling dispatch boundary, kept for the `TARGAD_SMALL_GEMM=off`
-/// escape hatch: with the tiled path disabled, problems below this many
-/// multiply-adds run the scalar loops and everything else runs the blocked
-/// kernel — exactly the dispatch the repo had before the register-tiled
-/// small path existed. With the tiled path enabled (the default) the
-/// blocked/tiled split is governed by the per-variant ceilings
-/// (`SMALL_MAX_FLOPS_*`) instead. All three paths compute identical
-/// accumulation chains.
-pub const BLOCK_MIN_FLOPS: usize = 1 << 18;
-
 /// Largest `m*n*k` the packing-free tiled path handles for `A*B`:
 /// measured on the shard-shaped training sweep, tiled nn beats the blocked
 /// kernel through 2^19 multiply-adds (128x64x64: ~58 vs ~63 us) and ties or
@@ -1010,66 +1000,10 @@ const SMALL_MAX_FLOPS_TN: usize = 1 << 20;
 
 /// Output area (`rows * cols`) below which even register tiling is not
 /// worth entering: a single `SMR x SNR` tile. Such outputs run the scalar
-/// loops (the `gemm.naive_dispatches` counter); everything else below
-/// [`BLOCK_MIN_FLOPS`] takes the tiled small path
+/// loops (the `gemm.naive_dispatches` counter); everything else up to the
+/// variant's `SMALL_MAX_FLOPS_*` ceiling takes the tiled small path
 /// (`gemm.small_dispatches`).
 const SMALL_MIN_AREA: usize = SMR * SNR;
-
-/// `true` when `TARGAD_SMALL_GEMM` requests the scalar loops (`off`, `0`,
-/// or `false`, case-insensitively) for every problem below
-/// [`BLOCK_MIN_FLOPS`] — the pre-tiling dispatch behaviour. Resolved on
-/// first use and cached, like `TARGAD_SIMD`.
-fn small_gemm_env_off() -> bool {
-    static OFF: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *OFF.get_or_init(|| {
-        std::env::var("TARGAD_SMALL_GEMM")
-            .is_ok_and(|v| matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"))
-    })
-}
-
-/// In-process override for the small-GEMM gate: 0 = follow the
-/// environment, 1 = forced on, 2 = forced off. Only [`force_small_gemm`]
-/// writes non-zero values, under [`SMALL_FORCE_LOCK`].
-static SMALL_OVERRIDE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Serializes [`force_small_gemm`] holders — the override is process
-/// global (pool workers must see the same answer as the driving thread).
-static SMALL_FORCE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Should sub-[`BLOCK_MIN_FLOPS`] problems take the register-tiled small
-/// kernels? All three paths are bit-identical, so this is a performance
-/// escape hatch (`TARGAD_SMALL_GEMM=off`) and the lever benches use to
-/// time the tiled path against its scalar predecessor — never a
-/// semantics switch.
-#[inline]
-fn small_gemm_enabled() -> bool {
-    match SMALL_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => !small_gemm_env_off(),
-    }
-}
-
-/// Holds the small-GEMM override; dropping it restores environment
-/// resolution.
-pub struct SmallGemmGuard {
-    _lock: std::sync::MutexGuard<'static, ()>,
-}
-
-impl Drop for SmallGemmGuard {
-    fn drop(&mut self) {
-        SMALL_OVERRIDE.store(0, std::sync::atomic::Ordering::Relaxed);
-    }
-}
-
-/// Forces the register-tiled small-GEMM path on or off for the whole
-/// process until the returned guard drops. Concurrent callers queue on an
-/// internal lock, so overrides never overlap.
-pub fn force_small_gemm(on: bool) -> SmallGemmGuard {
-    let lock = SMALL_FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    SMALL_OVERRIDE.store(if on { 1 } else { 2 }, std::sync::atomic::Ordering::Relaxed);
-    SmallGemmGuard { _lock: lock }
-}
 
 /// Which kernel a GEMM dispatch takes. Selected by [`gemm_path`]; every
 /// path computes the same ascending-`k` accumulation chains.
@@ -1085,24 +1019,14 @@ enum GemmPath {
 
 /// Picks the kernel for an `rows x n` output over a `k`-long contraction,
 /// bumping the matching dispatch counter. `small_max` is the
-/// variant-specific tiled ceiling (`SMALL_MAX_FLOPS_*`, inclusive). With
-/// the tiled path disabled ([`force_small_gemm`] /
-/// `TARGAD_SMALL_GEMM=off`) this reproduces the pre-tiling dispatch:
-/// scalar below [`BLOCK_MIN_FLOPS`], blocked at or above it.
+/// variant-specific tiled ceiling (`SMALL_MAX_FLOPS_*`, inclusive).
 fn gemm_path(rows: usize, n: usize, k: usize, small_max: usize) -> GemmPath {
-    let flops = rows * n * k;
-    let path = if small_gemm_enabled() {
-        if flops > small_max {
-            GemmPath::Blocked
-        } else if rows * n < SMALL_MIN_AREA {
-            GemmPath::Scalar
-        } else {
-            GemmPath::Small
-        }
-    } else if flops < BLOCK_MIN_FLOPS {
+    let path = if rows * n * k > small_max {
+        GemmPath::Blocked
+    } else if rows * n < SMALL_MIN_AREA {
         GemmPath::Scalar
     } else {
-        GemmPath::Blocked
+        GemmPath::Small
     };
     match path {
         GemmPath::Scalar => targad_obs::metrics::GEMM_NAIVE_DISPATCHES.inc(),
@@ -2125,7 +2049,7 @@ mod tests {
         }
     }
 
-    /// Shapes that all fall below [`BLOCK_MIN_FLOPS`], chosen to hit every
+    /// Shapes that all fall below every `SMALL_MAX_FLOPS_*` ceiling, chosen to hit every
     /// edge of the small-GEMM dispatch: empty outputs, `k = 0` (pure zero
     /// store), single elements, sub-tile rows/cols, exact `SMR x SNR`
     /// multiples, and one-off edges on each side of a tile. Areas straddle
@@ -2220,11 +2144,11 @@ mod tests {
 
     #[test]
     fn dense_backward_kernels_match_on_blocked_scale_shapes() {
-        // Above BLOCK_MIN_FLOPS the fused kernels route through the packed
-        // blocked driver (dact on the pack read path) — still bit-equal to
-        // the materialized two-pass form.
-        let (m, k, n) = (96, 80, 72);
-        assert!(m * k * n >= BLOCK_MIN_FLOPS);
+        // Above every tiled ceiling (`aᵀ·b`'s is the highest) the fused
+        // kernels route through the packed blocked driver (dact on the pack
+        // read path) — still bit-equal to the materialized two-pass form.
+        let (m, k, n) = (112, 96, 100);
+        assert!(m * k * n > SMALL_MAX_FLOPS_TN);
         let x = probe(m, k, 51);
         let w = probe(k, n, 52);
         let bias = probe(1, n, 53);

@@ -1,11 +1,11 @@
 //! Packing-free register-tiled small-GEMM kernels.
 //!
-//! Training shapes (128-row shards times small layer widths) sit below the
-//! blocked kernel's [`crate::matrix::BLOCK_MIN_FLOPS`] threshold, where
-//! panel packing costs more than it saves — but the scalar naive loops
-//! leave all the instruction-level parallelism on the table: the `nn`/`tn`
-//! loops re-load and re-store every out element once per `k` step, and the
-//! `nt` loop is a single serial dependency chain per element. The kernels
+//! Training shapes (128-row shards times small layer widths) are too small
+//! for the blocked kernel, whose panel packing costs more than it saves
+//! there — but the scalar naive loops leave all the instruction-level
+//! parallelism on the table: the `nn`/`tn` loops re-load and re-store
+//! every out element once per `k` step, and the `nt` loop is a single
+//! serial dependency chain per element. The kernels
 //! here keep an `SMR x SNR` register tile of accumulators live across the
 //! whole contraction instead, with **zero packing**: operands are read
 //! in-place through strides.

@@ -21,20 +21,9 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation on the tape (training path).
-    pub fn forward(self, tape: &mut Tape, v: Var) -> Var {
-        match self {
-            Activation::None => v,
-            Activation::Relu => tape.relu(v),
-            Activation::LeakyRelu => tape.leaky_relu(v, 0.01),
-            Activation::Sigmoid => tape.sigmoid(v),
-            Activation::Tanh => tape.tanh(v),
-        }
-    }
-
     /// The scalar epilogue form of this activation — the single definition
     /// shared by [`Activation::eval`], [`Activation::eval_rt`], and the
-    /// fused GEMM write-back in `targad-linalg`.
+    /// fused GEMM write-back and backward read path in `targad-linalg`.
     pub fn epi(self) -> EpiAct {
         match self {
             Activation::None => EpiAct::None,
@@ -130,21 +119,11 @@ impl Linear {
         (self.w, self.b)
     }
 
-    /// Training-path forward on the tape.
-    pub fn forward(&self, tape: &mut Tape, store: &VarStore, x: Var) -> Var {
-        let w = tape.param(store, self.w);
-        let b = tape.param(store, self.b);
-        let z = tape.matmul(x, w);
-        tape.add_row_broadcast(z, b)
-    }
-
-    /// Training-path forward as one fused `Dense` node: the GEMM applies
-    /// bias and `act` at write-back, and the backward sweep folds the
-    /// activation derivative into the gradient GEMMs' read paths.
-    /// Bit-identical to [`Linear::forward`] followed by `act` — this is
-    /// the fast arm behind [`crate::fused_backward_enabled`], not a
-    /// different computation.
-    pub fn forward_fused(&self, tape: &mut Tape, store: &VarStore, x: Var, act: Activation) -> Var {
+    /// Training-path forward `act(x·W + b)` as one fused `Dense` tape node:
+    /// the GEMM applies bias and `act` at write-back, and the backward
+    /// sweep folds the activation derivative into the gradient GEMMs' read
+    /// paths.
+    pub fn forward(&self, tape: &mut Tape, store: &VarStore, x: Var, act: Activation) -> Var {
         let w = tape.param(store, self.w);
         let b = tape.param(store, self.b);
         tape.dense(x, w, b, act.epi())
@@ -163,23 +142,14 @@ impl Linear {
             .add_row_broadcast(store.value(self.b))
     }
 
-    /// Tape forward treating this layer's parameters as *constants*:
-    /// gradients flow through to `x` but never into `store`. Required when
-    /// a module from another [`VarStore`] participates in a loss (e.g. a
-    /// GAN generator step backpropagating through a frozen discriminator) —
-    /// [`crate::Mlp::forward`]'s parameter nodes are only valid for the
-    /// store later passed to `Tape::backward`.
-    pub fn forward_frozen(&self, tape: &mut Tape, store: &VarStore, x: Var) -> Var {
-        let w = tape.input(store.value(self.w).clone());
-        let b = tape.input(store.value(self.b).clone());
-        let z = tape.matmul(x, w);
-        tape.add_row_broadcast(z, b)
-    }
-
-    /// [`Linear::forward_frozen`] as one fused `Dense` node over pooled
-    /// constant copies of the parameters (gradients still flow to `x`
-    /// only). Bit-identical to the unfused frozen path followed by `act`.
-    pub fn forward_frozen_fused(
+    /// [`Linear::forward`] treating this layer's parameters as
+    /// *constants* (pooled copies recorded as input leaves): gradients flow
+    /// through to `x` but never into `store`. Required when a module from
+    /// another [`VarStore`] participates in a loss (e.g. a GAN generator
+    /// step backpropagating through a frozen discriminator) —
+    /// [`Linear::forward`]'s parameter nodes are only valid for the store
+    /// later passed to `Tape::backward`.
+    pub fn forward_frozen(
         &self,
         tape: &mut Tape,
         store: &VarStore,
@@ -305,23 +275,12 @@ impl Mlp {
         dims
     }
 
-    /// Training-path forward on the tape. When the fused backward gate is
-    /// open (see [`crate::fused_backward_enabled`]) every layer+activation
-    /// pair is emitted as one fused `Dense` node; when it is closed, as
-    /// the unfused matmul/broadcast/activation triplet. The two arms are
-    /// bit-identical — forward values, gradients, and fitted weights — so
-    /// the unfused arm doubles as the exact-equality oracle.
+    /// Training-path forward on the tape: one fused `Dense` node per
+    /// layer+activation pair (see [`Linear::forward`]).
     pub fn forward(&self, tape: &mut Tape, store: &VarStore, x: Var) -> Var {
-        let fused = crate::fused::fused_backward_enabled();
         let mut h = x;
         for (i, layer) in self.layers.iter().enumerate() {
-            let act = self.act(i);
-            if fused {
-                h = layer.forward_fused(tape, store, h, act);
-            } else {
-                h = layer.forward(tape, store, h);
-                h = act.forward(tape, h);
-            }
+            h = layer.forward(tape, store, h, self.act(i));
         }
         h
     }
@@ -361,20 +320,11 @@ impl Mlp {
     }
 
     /// Tape forward with frozen parameters — see
-    /// [`Linear::forward_frozen`]. Gated on the fused backward path like
-    /// [`Mlp::forward`] (the fused frozen arm also takes pooled parameter
-    /// copies instead of fresh clones).
+    /// [`Linear::forward_frozen`].
     pub fn forward_frozen(&self, tape: &mut Tape, store: &VarStore, x: Var) -> Var {
-        let fused = crate::fused::fused_backward_enabled();
         let mut h = x;
         for (i, layer) in self.layers.iter().enumerate() {
-            let act = self.act(i);
-            if fused {
-                h = layer.forward_frozen_fused(tape, store, h, act);
-            } else {
-                h = layer.forward_frozen(tape, store, h);
-                h = act.forward(tape, h);
-            }
+            h = layer.forward_frozen(tape, store, h, self.act(i));
         }
         h
     }

@@ -14,7 +14,6 @@
 pub mod ae;
 pub mod batch;
 pub mod dp;
-pub mod fused;
 pub mod infer;
 pub mod layers;
 pub mod optim;
@@ -22,7 +21,6 @@ pub mod optim;
 pub use ae::AutoEncoder;
 pub use batch::shuffled_batches;
 pub use dp::{shard_count, shard_range, Parts, ShardedStep, MAX_PARTS, SHARD_ROWS};
-pub use fused::{force_fused_backward, fused_backward_enabled, FusedBackwardGuard};
 pub use infer::{EngineCell, EnginePrecision, F32Plan, ModelStack, ScoreEngine, INFER_BLOCK_ROWS};
 pub use layers::{Activation, Linear, Mlp};
 pub use optim::{Adam, Optimizer, Sgd};
