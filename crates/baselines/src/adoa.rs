@@ -74,18 +74,6 @@ impl Adoa {
         self.runtime = runtime;
         self
     }
-
-    /// Reference (unfused `Mlp::eval`) scoring path, kept as the
-    /// implementation the engine-backed [`Detector::score`] is
-    /// exact-equality tested against.
-    #[doc(hidden)]
-    pub fn score_reference(&self, x: &Matrix) -> Vec<f64> {
-        let f = self.fitted.as_ref().expect("ADOA: score before fit");
-        let logits = f.clf.eval(&f.store, x);
-        (0..logits.rows())
-            .map(|r| stable_sigmoid(logits[(r, 0)]))
-            .collect()
-    }
 }
 
 impl Detector for Adoa {
@@ -229,8 +217,32 @@ fn normalize(v: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::assert_engine_matches_reference;
     use targad_data::GeneratorSpec;
     use targad_metrics::auroc;
+
+    /// The whole-batch scorer the engine-backed `Detector::score` is
+    /// checked against: `Mlp::eval` over all rows at once, then the per-row
+    /// finish.
+    fn score_reference(model: &Adoa, x: &Matrix) -> Vec<f64> {
+        let f = model.fitted.as_ref().expect("ADOA: score before fit");
+        let logits = f.clf.eval(&f.store, x);
+        (0..logits.rows())
+            .map(|r| stable_sigmoid(logits[(r, 0)]))
+            .collect()
+    }
+
+    #[test]
+    fn engine_scores_match_the_whole_batch_reference() {
+        assert_engine_matches_reference(
+            |rt| {
+                let mut m = Adoa::default().with_runtime(rt);
+                m.epochs = 3;
+                m
+            },
+            score_reference,
+        );
+    }
 
     #[test]
     fn detects_anomalies_with_partial_labels() {

@@ -96,6 +96,27 @@ pub fn latent_noise(rows: usize, dims: usize, rng: &mut StdRng) -> Matrix {
     lrng::normal_matrix(rng, rows, dims, 0.0, 1.0)
 }
 
+/// Fits the detector `build` makes once per worker count {1, 2, 7} and
+/// asserts its engine-backed [`Detector::score`] equals `reference` bit for
+/// bit. Fitting is worker-count invariant, so each refit trains the
+/// identical model and the comparison isolates scoring.
+#[cfg(test)]
+pub(crate) fn assert_engine_matches_reference<D: crate::Detector>(
+    build: impl Fn(targad_runtime::Runtime) -> D,
+    reference: impl Fn(&D, &Matrix) -> Vec<f64>,
+) {
+    let bundle = targad_data::GeneratorSpec::quick_demo().generate(67);
+    let view = crate::TrainView::from_dataset(&bundle.train);
+    let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    for workers in [1, 2, 7] {
+        let mut model = build(targad_runtime::Runtime::new(workers));
+        model.fit(&view, 11).unwrap();
+        let engine = model.score(&bundle.test.features);
+        let want = reference(&model, &bundle.test.features);
+        assert_eq!(bits(&engine), bits(&want), "workers = {workers}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

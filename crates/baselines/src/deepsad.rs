@@ -79,16 +79,6 @@ impl DeepSad {
             })
         })
     }
-
-    /// Reference (unfused `Mlp::eval`) scoring path, kept as the
-    /// implementation the engine-backed [`Detector::score`] is
-    /// exact-equality tested against.
-    #[doc(hidden)]
-    pub fn score_reference(&self, x: &Matrix) -> Vec<f64> {
-        let f = self.fitted.as_ref().expect("DeepSAD: score before fit");
-        let z = f.encoder.eval(&f.store, x);
-        (0..z.rows()).map(|r| z.row_sq_dist(r, &f.center)).collect()
-    }
 }
 
 impl Detector for DeepSad {
@@ -209,8 +199,31 @@ impl Detector for DeepSad {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::assert_engine_matches_reference;
     use targad_data::GeneratorSpec;
     use targad_metrics::auroc;
+
+    /// The whole-batch scorer the engine-backed `Detector::score` is
+    /// checked against: `Mlp::eval` over all rows at once, then the per-row
+    /// finish.
+    fn score_reference(model: &DeepSad, x: &Matrix) -> Vec<f64> {
+        let f = model.fitted.as_ref().expect("DeepSAD: score before fit");
+        let z = f.encoder.eval(&f.store, x);
+        (0..z.rows()).map(|r| z.row_sq_dist(r, &f.center)).collect()
+    }
+
+    #[test]
+    fn engine_scores_match_the_whole_batch_reference() {
+        assert_engine_matches_reference(
+            |rt| {
+                let mut m = DeepSad::default().with_runtime(rt);
+                m.pretrain_epochs = 2;
+                m.epochs = 3;
+                m
+            },
+            score_reference,
+        );
+    }
 
     #[test]
     fn separates_anomalies_from_normals() {

@@ -78,18 +78,6 @@ impl DevNet {
             })
         })
     }
-
-    /// Reference (unfused `Mlp::eval`) scoring path, kept as the
-    /// implementation the engine-backed [`Detector::score`] is
-    /// exact-equality tested against.
-    #[doc(hidden)]
-    pub fn score_reference(&self, x: &Matrix) -> Vec<f64> {
-        let f = self.fitted.as_ref().expect("DevNet: score before fit");
-        let phi = f.scorer.eval(&f.store, x);
-        (0..phi.rows())
-            .map(|r| (phi[(r, 0)] - f.mu) / f.sigma)
-            .collect()
-    }
 }
 
 impl Detector for DevNet {
@@ -214,8 +202,32 @@ use rand::RngExt;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::assert_engine_matches_reference;
     use targad_data::GeneratorSpec;
     use targad_metrics::auroc;
+
+    /// The whole-batch scorer the engine-backed `Detector::score` is
+    /// checked against: `Mlp::eval` over all rows at once, then the per-row
+    /// finish.
+    fn score_reference(model: &DevNet, x: &Matrix) -> Vec<f64> {
+        let f = model.fitted.as_ref().expect("DevNet: score before fit");
+        let phi = f.scorer.eval(&f.store, x);
+        (0..phi.rows())
+            .map(|r| (phi[(r, 0)] - f.mu) / f.sigma)
+            .collect()
+    }
+
+    #[test]
+    fn engine_scores_match_the_whole_batch_reference() {
+        assert_engine_matches_reference(
+            |rt| {
+                let mut m = DevNet::default().with_runtime(rt);
+                m.epochs = 3;
+                m
+            },
+            score_reference,
+        );
+    }
 
     #[test]
     fn labeled_guidance_separates_anomalies() {

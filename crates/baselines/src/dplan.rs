@@ -87,16 +87,6 @@ impl Dplan {
         self.runtime = runtime;
         self
     }
-
-    /// Reference (unfused `Mlp::eval`) scoring path, kept as the
-    /// implementation the engine-backed [`Detector::score`] is
-    /// exact-equality tested against.
-    #[doc(hidden)]
-    pub fn score_reference(&self, x: &Matrix) -> Vec<f64> {
-        let f = self.fitted.as_ref().expect("DPLAN: score before fit");
-        let q = f.qnet.eval(&f.store, x);
-        (0..q.rows()).map(|r| q[(r, 1)] - q[(r, 0)]).collect()
-    }
 }
 
 impl Detector for Dplan {
@@ -264,8 +254,30 @@ impl Detector for Dplan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::assert_engine_matches_reference;
     use targad_data::GeneratorSpec;
     use targad_metrics::auroc;
+
+    /// The whole-batch scorer the engine-backed `Detector::score` is
+    /// checked against: `Mlp::eval` over all rows at once, then the per-row
+    /// finish.
+    fn score_reference(model: &Dplan, x: &Matrix) -> Vec<f64> {
+        let f = model.fitted.as_ref().expect("DPLAN: score before fit");
+        let q = f.qnet.eval(&f.store, x);
+        (0..q.rows()).map(|r| q[(r, 1)] - q[(r, 0)]).collect()
+    }
+
+    #[test]
+    fn engine_scores_match_the_whole_batch_reference() {
+        assert_engine_matches_reference(
+            |rt| {
+                let mut m = Dplan::default().with_runtime(rt);
+                m.steps = 40;
+                m
+            },
+            score_reference,
+        );
+    }
 
     #[test]
     fn agent_learns_to_flag_anomalies() {

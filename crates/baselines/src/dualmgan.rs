@@ -78,23 +78,6 @@ impl DualMgan {
         self.runtime = runtime;
         self
     }
-
-    /// Reference (unfused `Mlp::eval`) scoring path, kept as the
-    /// implementation the engine-backed [`Detector::score`] is
-    /// exact-equality tested against.
-    #[doc(hidden)]
-    pub fn score_reference(&self, x: &Matrix) -> Vec<f64> {
-        let f = self.fitted.as_ref().expect("Dual-MGAN: score before fit");
-        let clf_logits = f.clf.eval(&f.clf_store, x);
-        let dn_logits = f.disc_n.eval(&f.dn_store, x);
-        (0..x.rows())
-            .map(|r| {
-                let p_anom = stable_sigmoid(clf_logits[(r, 0)]);
-                let p_normal = stable_sigmoid(dn_logits[(r, 0)]);
-                0.8 * p_anom + 0.2 * (1.0 - p_normal)
-            })
-            .collect()
-    }
 }
 
 /// Shard-partial BCE toward 1 (or 0): `−Σ ln target / n`, where `n` is the
@@ -338,8 +321,38 @@ impl Detector for DualMgan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::assert_engine_matches_reference;
     use targad_data::GeneratorSpec;
     use targad_metrics::auroc;
+
+    /// The whole-batch scorer the engine-backed `Detector::score` is
+    /// checked against: `Mlp::eval` over all rows at once, then the per-row
+    /// finish.
+    fn score_reference(model: &DualMgan, x: &Matrix) -> Vec<f64> {
+        let f = model.fitted.as_ref().expect("Dual-MGAN: score before fit");
+        let clf_logits = f.clf.eval(&f.clf_store, x);
+        let dn_logits = f.disc_n.eval(&f.dn_store, x);
+        (0..x.rows())
+            .map(|r| {
+                let p_anom = stable_sigmoid(clf_logits[(r, 0)]);
+                let p_normal = stable_sigmoid(dn_logits[(r, 0)]);
+                0.8 * p_anom + 0.2 * (1.0 - p_normal)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn engine_scores_match_the_whole_batch_reference() {
+        assert_engine_matches_reference(
+            |rt| {
+                let mut m = DualMgan::default().with_runtime(rt);
+                m.gan_epochs = 2;
+                m.clf_epochs = 3;
+                m
+            },
+            score_reference,
+        );
+    }
 
     #[test]
     fn dual_gan_detects_anomalies() {

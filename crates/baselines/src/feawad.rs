@@ -71,30 +71,13 @@ impl Feawad {
         self.runtime = runtime;
         self
     }
-
-    /// Reference (unfused `Mlp::eval`) scoring path, kept as the
-    /// implementation the engine-backed [`Detector::score`] is
-    /// exact-equality tested against.
-    #[doc(hidden)]
-    pub fn score_reference(&self, x: &Matrix) -> Vec<f64> {
-        let f = self.fitted.as_ref().expect("FEAWAD: score before fit");
-        let rep = representation(&f.ae, &f.ae_store, x);
-        let s = f.scorer.eval(&f.scorer_store, &rep);
-        (0..s.rows()).map(|r| s[(r, 0)]).collect()
-    }
 }
 
-/// `[z, e/‖e‖, ‖e‖]` composite representation (reference forward pass).
-fn representation(ae: &AutoEncoder, store: &VarStore, x: &Matrix) -> Matrix {
-    let z = ae.encode_eval(store, x);
-    let xhat = ae.reconstruct_eval(store, x);
-    assemble_representation(&z, &xhat, x)
-}
-
-/// [`representation`] with the encoder and decoder run through the pooled
-/// inference engine. Bit-identical: the engine reproduces the exact
-/// `encode_eval` chains, and feeding that `z` straight into the decoder
-/// matches `reconstruct_eval` (which recomputes the same `z` internally).
+/// `[z, e/‖e‖, ‖e‖]` composite representation, with the encoder and
+/// decoder run through the pooled inference engine. Bit-identical to the
+/// whole-batch `encode_eval`/`reconstruct_eval` forward (unit-tested): the
+/// engine reproduces the exact chains, and feeding that `z` straight into
+/// the decoder matches `reconstruct_eval` (which recomputes the same `z`).
 fn representation_rt(
     ae: &AutoEncoder,
     store: &VarStore,
@@ -276,8 +259,39 @@ impl Detector for Feawad {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::assert_engine_matches_reference;
     use targad_data::GeneratorSpec;
     use targad_metrics::auroc;
+
+    /// `[z, e/‖e‖, ‖e‖]` on the whole-batch forward.
+    fn representation(ae: &AutoEncoder, store: &VarStore, x: &Matrix) -> Matrix {
+        let z = ae.encode_eval(store, x);
+        let xhat = ae.reconstruct_eval(store, x);
+        assemble_representation(&z, &xhat, x)
+    }
+
+    /// The whole-batch scorer the engine-backed `Detector::score` is
+    /// checked against: `Mlp::eval` over all rows at once, then the per-row
+    /// finish.
+    fn score_reference(model: &Feawad, x: &Matrix) -> Vec<f64> {
+        let f = model.fitted.as_ref().expect("FEAWAD: score before fit");
+        let rep = representation(&f.ae, &f.ae_store, x);
+        let s = f.scorer.eval(&f.scorer_store, &rep);
+        (0..s.rows()).map(|r| s[(r, 0)]).collect()
+    }
+
+    #[test]
+    fn engine_scores_match_the_whole_batch_reference() {
+        assert_engine_matches_reference(
+            |rt| {
+                let mut m = Feawad::default().with_runtime(rt);
+                m.pretrain_epochs = 2;
+                m.epochs = 3;
+                m
+            },
+            score_reference,
+        );
+    }
 
     #[test]
     fn composite_representation_shape() {

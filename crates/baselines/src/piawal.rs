@@ -70,18 +70,6 @@ impl PiaWal {
         self.runtime = runtime;
         self
     }
-
-    /// Reference (unfused `Mlp::eval`) scoring path, kept as the
-    /// implementation the engine-backed [`Detector::score`] is
-    /// exact-equality tested against.
-    #[doc(hidden)]
-    pub fn score_reference(&self, x: &Matrix) -> Vec<f64> {
-        let f = self.fitted.as_ref().expect("PIA-WAL: score before fit");
-        let logits = f.disc.eval(&f.d_store, x);
-        (0..logits.rows())
-            .map(|r| 1.0 - stable_sigmoid(logits[(r, 0)]))
-            .collect()
-    }
 }
 
 /// Shard partial of `−mean ln σ(logit)`: sums the shard's rows and divides
@@ -225,8 +213,32 @@ impl Detector for PiaWal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::assert_engine_matches_reference;
     use targad_data::GeneratorSpec;
     use targad_metrics::auroc;
+
+    /// The whole-batch scorer the engine-backed `Detector::score` is
+    /// checked against: `Mlp::eval` over all rows at once, then the per-row
+    /// finish.
+    fn score_reference(model: &PiaWal, x: &Matrix) -> Vec<f64> {
+        let f = model.fitted.as_ref().expect("PIA-WAL: score before fit");
+        let logits = f.disc.eval(&f.d_store, x);
+        (0..logits.rows())
+            .map(|r| 1.0 - stable_sigmoid(logits[(r, 0)]))
+            .collect()
+    }
+
+    #[test]
+    fn engine_scores_match_the_whole_batch_reference() {
+        assert_engine_matches_reference(
+            |rt| {
+                let mut m = PiaWal::default().with_runtime(rt);
+                m.epochs = 3;
+                m
+            },
+            score_reference,
+        );
+    }
 
     #[test]
     fn discriminator_score_separates_anomalies() {

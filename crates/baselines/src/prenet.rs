@@ -65,33 +65,6 @@ impl PreNet {
         self.runtime = runtime;
         self
     }
-
-    /// Reference (unfused `Mlp::eval`) scoring path, kept as the
-    /// implementation the engine-backed [`Detector::score`] is
-    /// exact-equality tested against.
-    #[doc(hidden)]
-    pub fn score_reference(&self, x: &Matrix) -> Vec<f64> {
-        let f = self.fitted.as_ref().expect("PReNet: score before fit");
-        let n_a = f.labeled.rows().min(self.score_pairs);
-        let n_u = f.unlabeled_sample.rows();
-        (0..x.rows())
-            .map(|i| {
-                let row = x.row(i);
-                let mut pairs = Vec::with_capacity(n_a + n_u);
-                for a in 0..n_a {
-                    pairs.push(concat_rows(f.labeled.row(a), row));
-                }
-                for u in 0..n_u {
-                    pairs.push(concat_rows(f.unlabeled_sample.row(u), row));
-                }
-                if pairs.is_empty() {
-                    return 0.0;
-                }
-                let preds = f.net.eval(&f.store, &Matrix::from_rows(&pairs));
-                preds.mean()
-            })
-            .collect()
-    }
 }
 
 fn concat_rows(a: &[f64], b: &[f64]) -> Vec<f64> {
@@ -230,8 +203,47 @@ impl Detector for PreNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::assert_engine_matches_reference;
     use targad_data::GeneratorSpec;
     use targad_metrics::auroc;
+
+    /// The whole-batch scorer the engine-backed `Detector::score` is
+    /// checked against: `Mlp::eval` over all rows at once, then the per-row
+    /// finish.
+    fn score_reference(model: &PreNet, x: &Matrix) -> Vec<f64> {
+        let f = model.fitted.as_ref().expect("PReNet: score before fit");
+        let n_a = f.labeled.rows().min(model.score_pairs);
+        let n_u = f.unlabeled_sample.rows();
+        (0..x.rows())
+            .map(|i| {
+                let row = x.row(i);
+                let mut pairs = Vec::with_capacity(n_a + n_u);
+                for a in 0..n_a {
+                    pairs.push(concat_rows(f.labeled.row(a), row));
+                }
+                for u in 0..n_u {
+                    pairs.push(concat_rows(f.unlabeled_sample.row(u), row));
+                }
+                if pairs.is_empty() {
+                    return 0.0;
+                }
+                let preds = f.net.eval(&f.store, &Matrix::from_rows(&pairs));
+                preds.mean()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn engine_scores_match_the_whole_batch_reference() {
+        assert_engine_matches_reference(
+            |rt| {
+                let mut m = PreNet::default().with_runtime(rt);
+                m.steps = 30;
+                m
+            },
+            score_reference,
+        );
+    }
 
     #[test]
     fn relation_scores_rank_anomalies() {

@@ -71,18 +71,6 @@ impl Pumad {
         self.runtime = runtime;
         self
     }
-
-    /// Reference (unfused `Mlp::eval`) scoring path, kept as the
-    /// implementation the engine-backed [`Detector::score`] is
-    /// exact-equality tested against.
-    #[doc(hidden)]
-    pub fn score_reference(&self, x: &Matrix) -> Vec<f64> {
-        let f = self.fitted.as_ref().expect("PUMAD: score before fit");
-        let z = f.embed.eval(&f.store, x);
-        (0..z.rows())
-            .map(|r| z.row_sq_dist(r, &f.prototype))
-            .collect()
-    }
 }
 
 impl Detector for Pumad {
@@ -187,8 +175,32 @@ impl Detector for Pumad {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::assert_engine_matches_reference;
     use targad_data::GeneratorSpec;
     use targad_metrics::auroc;
+
+    /// The whole-batch scorer the engine-backed `Detector::score` is
+    /// checked against: `Mlp::eval` over all rows at once, then the per-row
+    /// finish.
+    fn score_reference(model: &Pumad, x: &Matrix) -> Vec<f64> {
+        let f = model.fitted.as_ref().expect("PUMAD: score before fit");
+        let z = f.embed.eval(&f.store, x);
+        (0..z.rows())
+            .map(|r| z.row_sq_dist(r, &f.prototype))
+            .collect()
+    }
+
+    #[test]
+    fn engine_scores_match_the_whole_batch_reference() {
+        assert_engine_matches_reference(
+            |rt| {
+                let mut m = Pumad::default().with_runtime(rt);
+                m.epochs = 3;
+                m
+            },
+            score_reference,
+        );
+    }
 
     #[test]
     fn metric_learning_detects_anomalies() {

@@ -78,18 +78,6 @@ impl Repen {
         self.runtime = runtime;
         self
     }
-
-    /// Reference (unfused `Mlp::eval`) scoring path, kept as the
-    /// implementation the engine-backed [`Detector::score`] is
-    /// exact-equality tested against.
-    #[doc(hidden)]
-    pub fn score_reference(&self, x: &Matrix) -> Vec<f64> {
-        let f = self.fitted.as_ref().expect("REPEN: score before fit");
-        let zx = f.embed.eval(&f.store, x);
-        let zref = f.embed.eval(&f.store, &f.reference);
-        let mut rng = lrng::seeded(0x5EED_5EED);
-        lesinn_scores(&zx, &zref, self.ensembles, self.psi, &mut rng)
-    }
 }
 
 impl Detector for Repen {
@@ -203,8 +191,32 @@ impl Repen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::assert_engine_matches_reference;
     use targad_data::GeneratorSpec;
     use targad_metrics::auroc;
+
+    /// The whole-batch scorer the engine-backed `Detector::score` is
+    /// checked against: `Mlp::eval` over all rows at once, then the per-row
+    /// finish.
+    fn score_reference(model: &Repen, x: &Matrix) -> Vec<f64> {
+        let f = model.fitted.as_ref().expect("REPEN: score before fit");
+        let zx = f.embed.eval(&f.store, x);
+        let zref = f.embed.eval(&f.store, &f.reference);
+        let mut rng = lrng::seeded(0x5EED_5EED);
+        lesinn_scores(&zx, &zref, model.ensembles, model.psi, &mut rng)
+    }
+
+    #[test]
+    fn engine_scores_match_the_whole_batch_reference() {
+        assert_engine_matches_reference(
+            |rt| {
+                let mut m = Repen::default().with_runtime(rt);
+                m.steps = 30;
+                m
+            },
+            score_reference,
+        );
+    }
 
     #[test]
     fn unsupervised_detection_beats_chance() {

@@ -1,7 +1,7 @@
-//! Serial vs parallel timings for every runtime-accelerated path: the
-//! matmul kernels, iForest build/score, TargAD scoring, and the full
-//! `run_suite` grid. Besides the usual console report, this bench writes
-//! `results/bench_runtime.json` at the workspace root so speedups can be
+//! Serial vs parallel timings for every runtime-accelerated path: iForest
+//! build/score, TargAD scoring, and the full `run_suite` grid. Besides the
+//! usual console report, this bench writes `results/bench_runtime.json` at
+//! the workspace root with the host's core count, so speedups can be
 //! tracked across machines (on a single-core host the parallel rows
 //! simply confirm the overhead is bounded — results are bit-identical
 //! either way, which `tests/determinism.rs` asserts).
@@ -24,26 +24,6 @@ fn parallel_runtime() -> Runtime {
         env
     } else {
         Runtime::new(2)
-    }
-}
-
-fn bench_matmul(c: &mut Criterion) {
-    let rt = parallel_runtime();
-    for n in [192usize, 512] {
-        let mut rng = lrng::seeded(1);
-        let a = lrng::normal_matrix(&mut rng, n, n, 0.0, 1.0);
-        let b = lrng::normal_matrix(&mut rng, n, n, 0.0, 1.0);
-        let mut group = c.benchmark_group(format!("runtime_matmul_{n}"));
-        if n >= 512 {
-            group.sample_size(10);
-        }
-        group.bench_function("serial", |bench| {
-            bench.iter(|| black_box(a.matmul(&b)));
-        });
-        group.bench_function(format!("threads{}", rt.threads()), |bench| {
-            bench.iter(|| black_box(a.matmul_rt(&b, &rt)));
-        });
-        group.finish();
     }
 }
 
@@ -131,7 +111,8 @@ fn write_json(results: &[(String, f64)]) {
             "    {{ \"name\": \"{name}\", \"mean_seconds\": {mean:e} }}{comma}\n"
         ));
     }
-    out.push_str("  ]\n}\n");
+    let host = std::thread::available_parallelism().map_or(1, usize::from);
+    out.push_str(&format!("  ],\n  \"host_parallelism\": {host}\n}}\n"));
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/bench_runtime.json");
     std::fs::create_dir_all(path.parent().expect("parent")).expect("create results dir");
@@ -141,7 +122,6 @@ fn write_json(results: &[(String, f64)]) {
 
 fn main() {
     let mut criterion = Criterion::default();
-    bench_matmul(&mut criterion);
     bench_iforest(&mut criterion);
     bench_targad_score(&mut criterion);
     bench_suite(&mut criterion);

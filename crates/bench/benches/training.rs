@@ -1,13 +1,12 @@
 //! Training-path micro-benchmarks: one pooled-tape optimizer step for the
 //! per-cluster autoencoder (Eq. 1) and the m+k classifier (Eqs. 3–8) at
 //! three matrix sizes, plus the classifier's dominant GEMM sequence
-//! (forward `x·w`, backward `x^T·g` and `g·w^T` at 1024×256×256) timed on
-//! both the blocked kernels and the retained pre-blocking `reference`
-//! kernels, plus the Table II shape sweep timing one training step
+//! (forward `x·w`, backward `x^T·g` and `g·w^T` at 1024×256×256) on the
+//! blocked kernels, plus the Table II shape sweep timing one training step
 //! (fused backward, tiled small GEMMs, dead-gradient pruning) per shape.
-//! Writes `results/bench_training.json`; the recorded
-//! `speedup_clf_gemm_1024x256x256` is the acceptance metric for the
-//! blocked-GEMM rewrite (must stay ≥ 2).
+//! Writes `results/bench_training.json` with absolute times
+//! (`clf_gemm_ms_1024x256x256`, `step_ms_table2_*`) and the GEMM dispatch
+//! mix.
 //!
 //! Set `TARGAD_BENCH_QUICK=1` for a seconds-long smoke run (CI uses this to
 //! catch kernel regressions without paying full measurement budgets).
@@ -18,7 +17,7 @@ use std::time::{Duration, Instant};
 use targad_autograd::{Tape, VarStore};
 use targad_core::{Runtime, TargAd, TargAdConfig};
 use targad_data::GeneratorSpec;
-use targad_linalg::{matrix::reference, rng as lrng, Matrix};
+use targad_linalg::{rng as lrng, Matrix};
 use targad_nn::{Activation, Adam, AutoEncoder, Mlp, Optimizer};
 
 fn quick_mode() -> bool {
@@ -311,9 +310,8 @@ fn measure_dispatch_mix() -> (u64, u64, u64) {
     (naive, small, blocked)
 }
 
-/// The classifier step's dominant GEMM sequence at the acceptance size —
-/// forward `x·w` plus the two backward products `x^T·g` and `g·w^T` —
-/// on the blocked kernels vs. the retained pre-PR `reference` kernels.
+/// The classifier step's dominant GEMM sequence at 1024×256×256 — forward
+/// `x·w` plus the two backward products `x^T·g` and `g·w^T`.
 fn bench_clf_gemm(c: &mut Criterion) {
     let mut rng = lrng::seeded(17);
     let x = lrng::normal_matrix(&mut rng, 1024, 256, 0.0, 1.0);
@@ -326,14 +324,6 @@ fn bench_clf_gemm(c: &mut Criterion) {
             let fwd = x.matmul(&w);
             let dw = x.matmul_tn(&g);
             let dx = g.matmul_nt(&w);
-            black_box((fwd, dw, dx))
-        });
-    });
-    group.bench_function("reference", |b| {
-        b.iter(|| {
-            let fwd = reference::matmul(&x, &w);
-            let dw = reference::matmul_tn(&x, &g);
-            let dx = reference::matmul_nt(&g, &w);
             black_box((fwd, dw, dx))
         });
     });
@@ -410,10 +400,10 @@ fn write_dp_json(results: &[(String, f64)]) {
     );
 }
 
-/// Writes `results/bench_training.json`: every benchmark mean, the
-/// blocked-vs-reference speedup on the acceptance-size GEMM sequence, the
-/// Table II per-step times, and the training GEMM dispatch mix (naive
-/// share must be < 10%, asserted before this runs).
+/// Writes `results/bench_training.json`: every benchmark mean, the GEMM
+/// sequence's absolute time, the Table II per-step times, and the training
+/// GEMM dispatch mix (naive share must be < 10%, asserted before this
+/// runs).
 fn write_json(results: &[(String, f64)], dispatch: (u64, u64, u64), sweep: &[(String, f64)]) {
     let mean_of = |name: &str| {
         results
@@ -422,10 +412,7 @@ fn write_json(results: &[(String, f64)], dispatch: (u64, u64, u64), sweep: &[(St
             .map(|&(_, m)| m)
             .unwrap_or(0.0)
     };
-    let ratio = |base: f64, fast: f64| if fast > 0.0 { base / fast } else { 0.0 };
-    let blocked = mean_of("clf_gemm_1024x256x256/blocked");
-    let reference = mean_of("clf_gemm_1024x256x256/reference");
-    let speedup = ratio(reference, blocked);
+    let gemm_ms = mean_of("clf_gemm_1024x256x256/blocked") * 1e3;
 
     let (naive, small, blk) = dispatch;
     let total_dispatch = (naive + small + blk).max(1);
@@ -443,7 +430,7 @@ fn write_json(results: &[(String, f64)], dispatch: (u64, u64, u64), sweep: &[(St
         ));
     }
     out.push_str(&format!(
-        "  ],\n  \"speedup_clf_gemm_1024x256x256\": {speedup:.2},\n"
+        "  ],\n  \"clf_gemm_ms_1024x256x256\": {gemm_ms:.3},\n"
     ));
     for (label, ms) in sweep {
         out.push_str(&format!("  \"step_ms_table2_{label}\": {ms:.4},\n"));
@@ -459,7 +446,7 @@ fn write_json(results: &[(String, f64)], dispatch: (u64, u64, u64), sweep: &[(St
     std::fs::create_dir_all(path.parent().expect("parent")).expect("create results dir");
     std::fs::write(&path, out).expect("write bench_training.json");
     println!(
-        "\nwrote {} (gemm speedup {speedup:.2}x, naive dispatch share {:.1}%)",
+        "\nwrote {} (gemm sequence {gemm_ms:.2} ms, naive dispatch share {:.1}%)",
         path.display(),
         naive_share * 100.0
     );

@@ -88,7 +88,7 @@ fn cold_load_phase(dir: &std::path::Path, iters: usize) -> ColdLoad {
     let v3_bytes = std::fs::metadata(&v3_path).expect("v3 metadata").len();
 
     let probe = lrng::normal_matrix(&mut lrng::seeded(5), 8, dims[0], 0.0, 1.0);
-    let reference = clf.target_scores(&probe);
+    let reference = clf.target_scores_rt(&probe, &Runtime::serial());
 
     let (mut text_ns, mut buffered_ns, mut mmap_ns) = (Vec::new(), Vec::new(), Vec::new());
     for iter in 0..=iters {
@@ -113,9 +113,22 @@ fn cold_load_phase(dir: &std::path::Path, iters: usize) -> ColdLoad {
             assert_eq!(text_thresholds, cache);
             assert_eq!(buffered.thresholds, cache);
             assert_eq!(mapped.thresholds, cache);
-            assert_eq!(text_clf.target_scores(&probe), reference);
-            assert_eq!(buffered.classifier.target_scores(&probe), reference);
-            assert_eq!(mapped.classifier.target_scores(&probe), reference);
+            assert_eq!(
+                text_clf.target_scores_rt(&probe, &Runtime::serial()),
+                reference
+            );
+            assert_eq!(
+                buffered
+                    .classifier
+                    .target_scores_rt(&probe, &Runtime::serial()),
+                reference
+            );
+            assert_eq!(
+                mapped
+                    .classifier
+                    .target_scores_rt(&probe, &Runtime::serial()),
+                reference
+            );
             assert!(mapped.classifier.has_borrowed_parameters());
             assert_eq!(
                 mapped.classifier.parameter_bytes(),

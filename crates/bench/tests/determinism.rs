@@ -3,36 +3,12 @@
 //! worker count. Worker counts {1, 2, 7} cover the serial path, an even
 //! split, and a ragged split with more workers than some inputs have rows.
 
-use proptest::prelude::*;
 use targad_baselines::{DeepSad, IForest, TrainView};
 use targad_bench::{harness_config, run_suite_rt};
 use targad_core::{Detector, Runtime, TargAd, TargAdConfig};
 use targad_data::GeneratorSpec;
-use targad_linalg::rng as lrng;
 
 const WORKERS: [usize; 3] = [1, 2, 7];
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Parallel matmul is bit-identical to serial for random shapes.
-    #[test]
-    fn matmul_is_worker_count_invariant(
-        m in 1usize..40,
-        k in 1usize..40,
-        n in 1usize..40,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = lrng::seeded(seed);
-        let a = lrng::normal_matrix(&mut rng, m, k, 0.0, 1.0);
-        let b = lrng::normal_matrix(&mut rng, k, n, 0.0, 1.0);
-        let serial = a.matmul(&b);
-        for workers in WORKERS {
-            let par = a.matmul_rt(&b, &Runtime::new(workers));
-            prop_assert_eq!(par.as_slice(), serial.as_slice(), "workers = {}", workers);
-        }
-    }
-}
 
 /// An iForest built and scored in parallel matches the serial build
 /// bit for bit (per-tree RNG streams are derived from the fit seed, not

@@ -38,22 +38,14 @@ pub struct ClusterAutoEncoder {
 }
 
 impl ClusterAutoEncoder {
-    /// Squared reconstruction errors (Eq. 2) for each row of `x`, via the
-    /// reference (unfused) forward pass — the implementation
-    /// [`ClusterAutoEncoder::recon_errors_rt`] is exact-equality tested
-    /// against.
-    pub fn recon_errors(&self, x: &Matrix) -> Vec<f64> {
-        self.ae.recon_errors(&self.store, x)
-    }
-
-    /// [`ClusterAutoEncoder::recon_errors`] through the pooled
-    /// `ScoreEngine` on `rt`: the encoder–decoder chain runs as one fused
-    /// block-streamed pipeline and each reconstruction row reduces to its
-    /// squared error in place. Bit-identical to the reference: the engine
-    /// reproduces the exact reconstruction chains, and the per-row finish
-    /// accumulates `(x̂_j − x_j)²` in the same ascending-`j` order as
-    /// `row_sq_norms` over the materialized difference matrix (each `d_j`
-    /// round-trips through an f64 exactly).
+    /// Squared reconstruction errors (Eq. 2) for each row of `x`, through
+    /// the pooled `ScoreEngine` on `rt`: the encoder–decoder chain runs as
+    /// one fused block-streamed pipeline and each reconstruction row
+    /// reduces to its squared error in place. Bit-identical at any worker
+    /// count to `(reconstruct_eval(x) − x).row_sq_norms()` (unit-tested):
+    /// the engine reproduces the exact reconstruction chains, and the
+    /// per-row finish accumulates `(x̂_j − x_j)²` in the same ascending-`j`
+    /// order (each `d_j` round-trips through an f64 exactly).
     pub fn recon_errors_rt(&self, x: &Matrix, rt: &Runtime) -> Vec<f64> {
         let stack = [
             (self.ae.encoder(), &self.store),
@@ -395,6 +387,31 @@ mod tests {
         // Same seeds per cluster → identical errors regardless of threading.
         assert_eq!(serial.recon_errors, parallel.recon_errors);
         assert_eq!(serial.anomaly_candidates, parallel.anomaly_candidates);
+    }
+
+    #[test]
+    fn engine_recon_errors_match_the_materialized_difference() {
+        let bundle = GeneratorSpec::quick_demo().generate(9);
+        let (xu, _) = bundle.train.unlabeled_view();
+        let (xl, _) = bundle.train.labeled_view();
+        let sel = CandidateSelection::run(&xu, &xl, &small_config(), 7);
+        // Several engine row blocks, the last one ragged.
+        let mut rng = lrng::seeded(10);
+        let x = lrng::uniform_matrix(
+            &mut rng,
+            2 * targad_nn::INFER_BLOCK_ROWS + 37,
+            xu.cols(),
+            0.0,
+            1.0,
+        );
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        for cae in &sel.autoencoders {
+            let want = (&cae.ae.reconstruct_eval(&cae.store, &x) - &x).row_sq_norms();
+            for workers in [1, 2, 7] {
+                let got = cae.recon_errors_rt(&x, &Runtime::new(workers));
+                assert_eq!(bits(&got), bits(&want), "workers = {workers}");
+            }
+        }
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use targad_linalg::Matrix;
+
 /// Failures surfaced by [`crate::TargAd`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TargAdError {
@@ -30,15 +32,24 @@ pub enum TargAdError {
         /// The uncalibrated strategy.
         strategy: crate::OodStrategy,
     },
-    /// A training feature is NaN or infinite. From `TargAd::fit`, `row` is
-    /// the row of the dataset; from `TargAd::fit_view`, it counts the rows
-    /// of [`crate::TrainView::labeled`] first, then those of
-    /// [`crate::TrainView::unlabeled`].
+    /// A feature is NaN or infinite. From `TargAd::fit`, `row` is the row
+    /// of the dataset; from `TargAd::fit_view`, it counts the rows of
+    /// [`crate::TrainView::labeled`] first, then those of
+    /// [`crate::TrainView::unlabeled`]. From threshold calibration, it is
+    /// the row of the validation matrix.
     NonFinite {
         /// Row of the offending cell.
         row: usize,
         /// Column of the offending cell.
         col: usize,
+    },
+    /// Threshold calibration got a different number of three-way labels
+    /// than validation rows.
+    LabelCountMismatch {
+        /// Validation rows.
+        rows: usize,
+        /// Three-way labels supplied.
+        labels: usize,
     },
     /// Feature dimensionality differs from the fitted model's.
     DimMismatch {
@@ -76,9 +87,12 @@ impl fmt::Display for TargAdError {
                 )
             }
             TargAdError::NonFinite { row, col } => {
+                write!(f, "feature at row {row}, column {col} is not finite")
+            }
+            TargAdError::LabelCountMismatch { rows, labels } => {
                 write!(
                     f,
-                    "training feature at row {row}, column {col} is not finite"
+                    "label count mismatch: {rows} validation rows but {labels} three-way labels"
                 )
             }
             TargAdError::DimMismatch { expected, got } => {
@@ -92,6 +106,13 @@ impl fmt::Display for TargAdError {
 }
 
 impl std::error::Error for TargAdError {}
+
+/// `(row, col)` of the first NaN or infinite cell of `x`, in row-major
+/// order — the cell a [`TargAdError::NonFinite`] names.
+pub(crate) fn first_non_finite(x: &Matrix) -> Option<(usize, usize)> {
+    let i = x.as_slice().iter().position(|v| !v.is_finite())?;
+    Some((i / x.cols(), i % x.cols()))
+}
 
 #[cfg(test)]
 mod tests {
@@ -112,6 +133,9 @@ mod tests {
         assert!(TargAdError::NonFinite { row: 5, col: 2 }
             .to_string()
             .contains("row 5, column 2"));
+        assert!(TargAdError::LabelCountMismatch { rows: 9, labels: 8 }
+            .to_string()
+            .contains("9 validation rows but 8"));
         assert!(TargAdError::DimMismatch {
             expected: 4,
             got: 7

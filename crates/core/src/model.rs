@@ -18,8 +18,8 @@ use targad_runtime::Runtime;
 use crate::candidate::CandidateSelection;
 use crate::config::TargAdConfig;
 use crate::detector::{Detector, TrainView};
-use crate::error::TargAdError;
-use crate::ood::{calibrate_tau, verdict_of_row, verdict_of_row_f32, OodStrategy};
+use crate::error::{first_non_finite, TargAdError};
+use crate::ood::{verdict_of_row, verdict_of_row_f32, OodStrategy, ValidationPass};
 use crate::verdict::{Calibration, ScoreOutput, ThresholdCache, VerdictClass};
 
 /// Index of the `L_CE` partial in a step's [`Parts`] array.
@@ -86,13 +86,6 @@ impl Classifier {
         self.mlp.eval(&self.store, x)
     }
 
-    /// [`Classifier::logits`] executed on `rt`: the batched forward pass
-    /// parallelizes over rows, bit-identical to the serial path at any
-    /// worker count.
-    pub fn logits_rt(&self, x: &Matrix, rt: &Runtime) -> Matrix {
-        self.mlp.eval_rt(&self.store, x, rt)
-    }
-
     /// Softmax probabilities over the `m + k` outputs.
     pub fn probabilities(&self, x: &Matrix) -> Matrix {
         let mut p = self.logits(x);
@@ -100,31 +93,17 @@ impl Classifier {
         p
     }
 
-    /// [`Classifier::probabilities`] executed on `rt`.
-    pub fn probabilities_rt(&self, x: &Matrix, rt: &Runtime) -> Matrix {
-        let mut p = self.logits_rt(x, rt);
-        p.softmax_rows_inplace();
-        p
-    }
-
-    /// Target-anomaly scores (Eq. 9) via the reference (unfused) forward
-    /// pass: `S^tar(x) = max_{j ≤ m} p_j(x)`. Kept as the implementation
-    /// the engine-backed [`Classifier::target_scores_rt`] is exact-equality
-    /// tested against.
-    pub fn target_scores(&self, x: &Matrix) -> Vec<f64> {
-        self.target_scores_from(self.probabilities(x))
-    }
-
-    /// [`Classifier::target_scores`] through the pooled `ScoreEngine` on
-    /// `rt`: fused layer pipeline, zero steady-state allocations, and a
-    /// per-row softmax-max finish. Bit-identical to the serial reference at
-    /// any worker count: the engine reproduces the exact logit chains, and
-    /// `max_j e_j / S` equals `max_j (e_j / S)` bitwise because dividing by
-    /// the shared positive row sum is monotone and the winning element's
-    /// quotient is the same division either way.
+    /// Target-anomaly scores (Eq. 9), `S^tar(x) = max_{j ≤ m} p_j(x)`,
+    /// through the pooled `ScoreEngine` on `rt`: fused layer pipeline, zero
+    /// steady-state allocations, and a per-row softmax-max finish.
+    /// Bit-identical at any worker count to `max_{j ≤ m}` over the rows of
+    /// [`Classifier::probabilities`]: the engine reproduces the exact logit
+    /// chains, and `max_j e_j / S` equals `max_j (e_j / S)` bitwise because
+    /// dividing by the shared positive row sum is monotone and the winning
+    /// element's quotient is the same division either way.
     pub fn target_scores_rt(&self, x: &Matrix, rt: &Runtime) -> Vec<f64> {
         let m = self.m;
-        // The reference row chain: max over all logits, exponentials (and
+        // The `softmax_rows` chain: max over all logits, exponentials (and
         // their sum) accumulated in ascending column order, then the best
         // target-class exponential normalized once.
         let finish = move |_r: usize, z: &[f64]| {
@@ -193,27 +172,10 @@ impl Classifier {
         }
     }
 
-    /// Eq. 9 scores *and* three-way §III-C classes for each row of `x`,
-    /// via the reference (unfused) forward pass. This is the Table IV
-    /// decision path; [`Classifier::verdicts_rt`] is the engine-backed
-    /// variant that is exact-equality tested against it.
-    pub fn verdicts(&self, x: &Matrix, strategy: OodStrategy, tau: f64) -> ScoreOutput {
-        let logits = self.logits(x);
-        let mut scores = Vec::with_capacity(logits.rows());
-        let mut classes = Vec::with_capacity(logits.rows());
-        for r in 0..logits.rows() {
-            let (s, c) = verdict_of_row(logits.row(r), self.m, self.k, strategy, tau);
-            scores.push(s);
-            classes.push(c);
-        }
-        ScoreOutput::new(scores, classes, strategy, tau)
-    }
-
-    /// [`Classifier::verdicts`] through the pooled `ScoreEngine` on `rt`:
-    /// one fused forward pass produces both the Eq. 9 score and the
-    /// three-way class per row. Bit-identical to the reference at any
-    /// worker count — the engine reproduces the exact logit chains and the
-    /// per-row decision kernel is shared verbatim with the reference path.
+    /// Eq. 9 scores *and* three-way §III-C classes for each row of `x`
+    /// (the Table IV decision path) through the pooled `ScoreEngine` on
+    /// `rt`: one fused forward pass produces both per row, bit-identical at
+    /// any worker count.
     pub fn verdicts_rt(
         &self,
         x: &Matrix,
@@ -306,17 +268,6 @@ impl Classifier {
                     .collect()
             }
         }
-    }
-
-    fn target_scores_from(&self, p: Matrix) -> Vec<f64> {
-        (0..p.rows())
-            .map(|r| {
-                p.row(r)[..self.m]
-                    .iter()
-                    .copied()
-                    .fold(f64::NEG_INFINITY, f64::max)
-            })
-            .collect()
     }
 
     /// §III-C normality rule: an instance is normal iff the probability
@@ -634,10 +585,6 @@ impl TargAd {
         }
         // One scan of every training cell: a NaN or infinity would
         // otherwise surface deep inside candidate selection as a panic.
-        let first_non_finite = |x: &Matrix| {
-            let i = x.as_slice().iter().position(|v| !v.is_finite())?;
-            Some((i / x.cols(), i % x.cols()))
-        };
         if let Some((row, col)) =
             first_non_finite(xl).or_else(|| first_non_finite(xu).map(|(r, c)| (xl.rows() + r, c)))
         {
@@ -1085,17 +1032,23 @@ impl TargAd {
     /// calibration work — the fix the serving path depends on. Returns the
     /// resulting cache (also retrievable via [`TargAd::thresholds`]).
     ///
+    /// One forward pass over `val_x` serves all three strategies.
+    ///
     /// # Errors
-    /// [`TargAdError::NotFitted`] / [`TargAdError::DimMismatch`].
+    /// [`TargAdError::NotFitted`] / [`TargAdError::DimMismatch`], then
+    /// [`TargAdError::LabelCountMismatch`] when `val_truth3` does not have
+    /// one label per row and [`TargAdError::NonFinite`] naming the first NaN
+    /// or infinite validation feature. On error the cache is unchanged.
     pub fn calibrate_thresholds(
         &mut self,
         val_x: &Matrix,
         val_truth3: &[usize],
     ) -> Result<ThresholdCache, TargAdError> {
         let clf = self.checked_classifier(val_x)?;
+        let pass = ValidationPass::new(clf, val_x, val_truth3)?;
         let mut cache = ThresholdCache::default();
         for strategy in OodStrategy::all() {
-            cache.set(strategy, calibrate_tau(clf, val_x, val_truth3, strategy));
+            cache.set(strategy, pass.tau(strategy));
         }
         self.thresholds = cache;
         Ok(cache)
@@ -1180,7 +1133,7 @@ impl Detector for TargAd {
         strategy: OodStrategy,
     ) -> Result<Calibration, TargAdError> {
         let clf = self.checked_classifier(val_x)?;
-        let tau = calibrate_tau(clf, val_x, val_truth3, strategy);
+        let tau = ValidationPass::new(clf, val_x, val_truth3)?.tau(strategy);
         let scores = self.try_score_matrix(val_x)?;
         let score_threshold = crate::verdict::calibrate_score_threshold(&scores, val_truth3);
         Ok(Calibration {
@@ -1398,6 +1351,63 @@ mod tests {
                 );
                 assert_eq!(model.classifier().err(), Some(TargAdError::NotFitted));
             }
+        }
+    }
+
+    #[test]
+    fn calibration_rejects_a_label_count_mismatch() {
+        let (mut model, bundle) = fitted_model(7);
+        let truth = bundle.val.three_way_labels();
+        assert_eq!(
+            model.calibrate_thresholds(&bundle.val.features, &truth[1..]),
+            Err(TargAdError::LabelCountMismatch {
+                rows: truth.len(),
+                labels: truth.len() - 1
+            })
+        );
+        assert_eq!(model.thresholds().get(OodStrategy::Msp), None);
+    }
+
+    /// A NaN or infinite validation cell is reported as a typed error
+    /// naming the first bad cell, not a panic in the threshold sort.
+    #[test]
+    fn calibration_rejects_non_finite_features() {
+        let (mut model, bundle) = fitted_model(8);
+        let truth = bundle.val.three_way_labels();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut x = bundle.val.features.clone();
+            x[(9, 1)] = bad;
+            x[(5, 3)] = bad;
+            let want = Err(TargAdError::NonFinite { row: 5, col: 3 });
+            assert_eq!(model.calibrate_thresholds(&x, &truth), want, "{bad}");
+            assert_eq!(
+                model.calibrate(&x, &truth, OodStrategy::EnergyScore).err(),
+                want.err(),
+                "{bad}"
+            );
+        }
+        assert_eq!(model.thresholds().get(OodStrategy::Msp), None);
+    }
+
+    /// The one shared validation pass yields the thresholds a separate
+    /// calibration per strategy (`Detector::calibrate`) does, bit for bit.
+    #[test]
+    fn one_pass_calibration_matches_per_strategy_calibration() {
+        let (mut model, bundle) = fitted_model(9);
+        let truth = bundle.val.three_way_labels();
+        let cache = model
+            .calibrate_thresholds(&bundle.val.features, &truth)
+            .expect("calibrate");
+        for strategy in OodStrategy::all() {
+            let alone = model
+                .calibrate(&bundle.val.features, &truth, strategy)
+                .expect("calibrate");
+            assert_eq!(
+                cache.get(strategy).map(f64::to_bits),
+                Some(alone.tau.to_bits()),
+                "{}",
+                strategy.name()
+            );
         }
     }
 

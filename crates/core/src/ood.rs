@@ -20,6 +20,7 @@
 use targad_linalg::Matrix;
 use targad_metrics::ConfusionMatrix;
 
+use crate::error::{first_non_finite, TargAdError};
 use crate::model::Classifier;
 use crate::verdict::VerdictClass;
 
@@ -137,15 +138,13 @@ fn logsumexp_f32(values: &[f32]) -> f32 {
 /// One row's §III-C verdict from its logits: the Eq. 9 score and the
 /// three-way class under `strategy` at threshold `tau`.
 ///
-/// This is the single decision kernel shared by the reference path
-/// ([`Classifier::verdicts`](crate::model::Classifier::verdicts)) and the
-/// fused engine path
+/// This is the per-row decision kernel of the fused engine path
 /// ([`Classifier::verdicts_rt`](crate::model::Classifier::verdicts_rt)).
-/// It reproduces the exact accumulation chains of the historical
-/// `softmax_rows` + `is_normal_row` + `target_scores` sequence — max over
+/// It reproduces the exact accumulation chains of the
+/// `softmax_rows` + `is_normal_row` + max-over-targets sequence — max over
 /// the row, exponentials in ascending column order, each probability a
-/// single division by the shared row sum — so both paths are bit-identical
-/// to the Table IV reference.
+/// single division by the shared row sum — which `targad-bench`'s
+/// `engine_identity` suite checks bit for bit against a naive oracle.
 #[inline]
 pub(crate) fn verdict_of_row(
     z: &[f64],
@@ -223,66 +222,95 @@ pub(crate) fn verdict_of_row_f32(
     (f64::from(best), class)
 }
 
-/// Calibrates the target/non-target threshold on validation data by
-/// maximizing macro-F1 over a grid of candidate thresholds drawn from the
-/// validation scores of predicted-anomalous rows.
-///
-/// Returns the chosen threshold (0.0 if validation has no anomalous
-/// predictions — any tau then yields the same all-normal labeling).
-///
-/// One forward pass total: the §III-C normality gate and the per-row OOD
-/// scores are computed once, and each candidate threshold only re-labels
-/// the gated rows (the historical implementation re-ran the full forward
-/// pass per candidate).
-pub fn calibrate_tau(
-    clf: &Classifier,
-    val_x: &Matrix,
-    val_truth3: &[usize],
-    strategy: OodStrategy,
-) -> f64 {
-    assert_eq!(
-        val_x.rows(),
-        val_truth3.len(),
-        "calibrate_tau: length mismatch"
-    );
-    let logits = clf.logits(val_x);
-    let probs = logits.softmax_rows();
-    let anomalous: Vec<usize> = (0..val_x.rows())
-        .filter(|&r| !clf.is_normal_row(probs.row(r)))
-        .collect();
-    if anomalous.is_empty() {
-        return 0.0;
-    }
-    let target_scores: Vec<f64> = anomalous
-        .iter()
-        .map(|&r| strategy.target_score(logits.row(r), clf.m()))
-        .collect();
-    let mut scores = target_scores.clone();
-    scores.sort_by(|a, b| a.partial_cmp(b).expect("NaN OOD score"));
-    scores.dedup();
+/// Threshold calibration on validation data with three-way truth. The
+/// validation forward every strategy's threshold search shares — the
+/// logits and the §III-C normality gate — runs once, in
+/// [`ValidationPass::new`]; [`ValidationPass::tau`] then picks each
+/// strategy's target/non-target threshold by validation macro-F1.
+pub(crate) struct ValidationPass<'a> {
+    logits: Matrix,
+    /// Rows the normality gate sends on to the target/non-target split.
+    anomalous: Vec<usize>,
+    truth3: &'a [usize],
+    m: usize,
+}
 
-    let mut best_tau = scores[0];
-    let mut best_f1 = f64::NEG_INFINITY;
-    // Midpoints between consecutive distinct scores, plus the extremes.
-    let mut candidates = vec![scores[0] - 1e-9];
-    candidates.extend(scores.windows(2).map(|w| (w[0] + w[1]) / 2.0));
-    candidates.push(scores[scores.len() - 1] + 1e-9);
-
-    // Ungated rows are "normal" under every candidate; only the gated rows
-    // flip between target and non-target as tau sweeps.
-    let mut pred = vec![0usize; val_x.rows()];
-    for tau in candidates {
-        for (&r, &s) in anomalous.iter().zip(&target_scores) {
-            pred[r] = if s >= tau { 1 } else { 2 };
+impl<'a> ValidationPass<'a> {
+    /// Runs the one forward pass over `val_x`.
+    ///
+    /// # Errors
+    /// [`TargAdError::LabelCountMismatch`] when `val_truth3` does not have
+    /// one label per row, and [`TargAdError::NonFinite`] naming the first
+    /// NaN or infinite validation feature (its OOD score would be NaN).
+    pub(crate) fn new(
+        clf: &Classifier,
+        val_x: &Matrix,
+        val_truth3: &'a [usize],
+    ) -> Result<Self, TargAdError> {
+        if val_x.rows() != val_truth3.len() {
+            return Err(TargAdError::LabelCountMismatch {
+                rows: val_x.rows(),
+                labels: val_truth3.len(),
+            });
         }
-        let cm = ConfusionMatrix::from_predictions(val_truth3, &pred, 3);
-        let f1 = cm.macro_avg().f1;
-        if f1 > best_f1 {
-            best_f1 = f1;
-            best_tau = tau;
+        if let Some((row, col)) = first_non_finite(val_x) {
+            return Err(TargAdError::NonFinite { row, col });
         }
+        let logits = clf.logits(val_x);
+        let probs = logits.softmax_rows();
+        let anomalous = (0..val_x.rows())
+            .filter(|&r| !clf.is_normal_row(probs.row(r)))
+            .collect();
+        Ok(Self {
+            logits,
+            anomalous,
+            truth3: val_truth3,
+            m: clf.m(),
+        })
     }
-    best_tau
+
+    /// The threshold for `strategy` maximizing validation macro-F1 over a
+    /// grid drawn from the OOD scores of the gated rows (0.0 if the gate
+    /// passes no row — any tau then yields the same all-normal labeling).
+    /// Each candidate only re-labels the gated rows; no forward pass runs.
+    pub(crate) fn tau(&self, strategy: OodStrategy) -> f64 {
+        if self.anomalous.is_empty() {
+            return 0.0;
+        }
+        let target_scores: Vec<f64> = self
+            .anomalous
+            .iter()
+            .map(|&r| strategy.target_score(self.logits.row(r), self.m))
+            .collect();
+        let mut scores = target_scores.clone();
+        // Finite features and weights give finite logits, hence finite
+        // scores; `new` has already rejected non-finite features.
+        scores.sort_by(|a, b| a.partial_cmp(b).expect("NaN OOD score"));
+        scores.dedup();
+
+        let mut best_tau = scores[0];
+        let mut best_f1 = f64::NEG_INFINITY;
+        // Midpoints between consecutive distinct scores, plus the extremes.
+        let mut candidates = vec![scores[0] - 1e-9];
+        candidates.extend(scores.windows(2).map(|w| (w[0] + w[1]) / 2.0));
+        candidates.push(scores[scores.len() - 1] + 1e-9);
+
+        // Ungated rows are "normal" under every candidate; only the gated
+        // rows flip between target and non-target as tau sweeps.
+        let mut pred = vec![0usize; self.truth3.len()];
+        for tau in candidates {
+            for (&r, &s) in self.anomalous.iter().zip(&target_scores) {
+                pred[r] = if s >= tau { 1 } else { 2 };
+            }
+            let cm = ConfusionMatrix::from_predictions(self.truth3, &pred, 3);
+            let f1 = cm.macro_avg().f1;
+            if f1 > best_f1 {
+                best_f1 = f1;
+                best_tau = tau;
+            }
+        }
+        best_tau
+    }
 }
 
 #[cfg(test)]
@@ -290,6 +318,7 @@ mod tests {
     use super::*;
     use crate::{TargAd, TargAdConfig};
     use targad_data::GeneratorSpec;
+    use targad_runtime::Runtime;
 
     #[test]
     fn strategy_names_and_order() {
@@ -359,14 +388,12 @@ mod tests {
         let clf = model.classifier().unwrap();
 
         for strategy in OodStrategy::all() {
-            let tau = calibrate_tau(
-                clf,
-                &bundle.val.features,
-                &bundle.val.three_way_labels(),
-                strategy,
-            );
+            let truth = bundle.val.three_way_labels();
+            let tau = ValidationPass::new(clf, &bundle.val.features, &truth)
+                .expect("calibrate")
+                .tau(strategy);
             let pred = clf
-                .verdicts(&bundle.test.features, strategy, tau)
+                .verdicts_rt(&bundle.test.features, &Runtime::serial(), strategy, tau)
                 .three_way_codes();
             assert_eq!(pred.len(), bundle.test.len());
             assert!(pred.iter().all(|&p| p <= 2));

@@ -270,7 +270,7 @@ fn parse_kv(line: Option<&str>, key: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TargAd, TargAdConfig};
+    use crate::{Runtime, TargAd, TargAdConfig};
     use targad_data::GeneratorSpec;
 
     fn trained() -> (TargAd, targad_data::DatasetBundle) {
@@ -292,8 +292,8 @@ mod tests {
         assert_eq!(restored.m(), clf.m());
         assert_eq!(restored.k(), clf.k());
         assert_eq!(
-            restored.target_scores(&bundle.test.features),
-            clf.target_scores(&bundle.test.features)
+            restored.target_scores_rt(&bundle.test.features, &Runtime::serial()),
+            clf.target_scores_rt(&bundle.test.features, &Runtime::serial())
         );
     }
 
@@ -304,11 +304,11 @@ mod tests {
         save(model.classifier().unwrap(), &path).expect("save");
         let restored = load(&path).expect("load");
         assert_eq!(
-            restored.target_scores(&bundle.test.features),
+            restored.target_scores_rt(&bundle.test.features, &Runtime::serial()),
             model
                 .classifier()
                 .unwrap()
-                .target_scores(&bundle.test.features)
+                .target_scores_rt(&bundle.test.features, &Runtime::serial())
         );
         let _ = std::fs::remove_file(&path);
     }
@@ -336,8 +336,8 @@ mod tests {
         let (restored, restored_cache) = from_string_with_thresholds(&text).expect("parse");
         assert_eq!(restored_cache, cache);
         assert_eq!(
-            restored.target_scores(&bundle.test.features),
-            clf.target_scores(&bundle.test.features)
+            restored.target_scores_rt(&bundle.test.features, &Runtime::serial()),
+            clf.target_scores_rt(&bundle.test.features, &Runtime::serial())
         );
         // A v1 snapshot parses with an empty cache.
         let (_, empty) = from_string_with_thresholds(&to_string(clf)).expect("parse v1");

@@ -278,7 +278,7 @@ impl ThresholdCache {
 /// Calibrates a scalar anomaly-score threshold on validation data by
 /// maximizing the two-way (target vs rest) macro-F1 over candidate
 /// thresholds drawn from the validation scores — the scalar counterpart of
-/// `ood::calibrate_tau`, used by the default [`crate::Detector`] verdict
+/// `ood::ValidationPass::tau`, used by the default [`crate::Detector`] verdict
 /// path.
 ///
 /// Returns `0.5` when `scores` is empty or degenerate (all equal).

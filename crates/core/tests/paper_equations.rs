@@ -5,7 +5,7 @@
 //! target-likeness scores can be verified against hand-computed values
 //! rather than through end-to-end training.
 
-use targad_core::{snapshot, OodStrategy};
+use targad_core::{snapshot, OodStrategy, Runtime};
 use targad_linalg::Matrix;
 
 /// Builds a linear classifier `z = x·W + b` with `m = 2`, `k = 2` whose
@@ -28,7 +28,7 @@ fn eq9_target_score_is_max_over_first_m_probabilities() {
     let clf = identity_classifier();
     // logits = input; softmax of [2, 0, 0, 0] puts most mass on dim 0.
     let x = Matrix::from_rows(&[vec![2.0, 0.0, 0.0, 0.0], vec![0.0, 0.0, 3.0, 0.0]]);
-    let scores = clf.target_scores(&x);
+    let scores = clf.target_scores_rt(&x, &Runtime::serial());
 
     // Hand-computed softmax values.
     let s0: f64 = {

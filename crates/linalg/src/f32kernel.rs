@@ -409,8 +409,8 @@ unsafe fn micro_avx2(
 }
 
 /// Pre-blocking f32 kernels, the plain-loop baseline the packed/tiled
-/// implementations are property-tested against (the f32 analogue of
-/// [`crate::matrix::reference`]).
+/// implementations are property-tested against (the f32 analogue of the
+/// f64 kernels' test-only reference in `matrix.rs`).
 pub mod reference {
     use super::EpiAct;
 

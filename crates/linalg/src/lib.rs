@@ -8,14 +8,17 @@
 //! - [`Matrix`]: a row-major dense matrix with matmul variants tuned for
 //!   backprop (`matmul`, [`Matrix::matmul_tn`], [`Matrix::matmul_nt`]),
 //!   broadcasting helpers, reductions, and stable softmax kernels;
-//! - [`par`]: runtime-parallel `_rt` kernel variants that are bit-identical
-//!   to their serial counterparts at any worker count (see `targad-runtime`);
+//! - [`matmul_bias_act_rows_into`]: the one dense inference kernel,
+//!   `act(x · W + b)` over a block of rows with the bias and activation
+//!   fused into the GEMM write-back. Every f64 forward pass (the tape's
+//!   `Dense` op, `Mlp::eval`, the pooled `ScoreEngine`) runs through it;
+//!   callers parallelize by handing disjoint row blocks to workers;
 //! - [`rng`]: seeded random initialization (uniform, Xavier/Glorot,
 //!   Box–Muller Gaussians) so every experiment is reproducible;
 //! - [`stats`]: scalar statistics (mean/std/quantiles) shared by the
 //!   clustering, metric, and experiment crates.
 //!
-//! Training and every reference path are `f64`: dataset sizes in the paper
+//! Training and the bit-exact scoring path are `f64`: dataset sizes in the paper
 //! are ≤ a few hundred thousand rows, so numerical robustness is worth more
 //! than the memory. The one exception is [`f32kernel`], the opt-in
 //! single-precision *inference* fast path (AVX2+FMA micro-tiles behind a
@@ -24,7 +27,6 @@
 
 pub mod f32kernel;
 pub mod matrix;
-pub mod par;
 pub mod rng;
 pub mod shared;
 mod smallgemm;

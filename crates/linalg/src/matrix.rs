@@ -341,7 +341,7 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
-        matmul_rows_into(self, other, 0, out.dm());
+        matmul_rows_into(self, other, out.dm());
         out
     }
 
@@ -366,7 +366,7 @@ impl Matrix {
             "matmul_into: bad output shape"
         );
         out.fill(0.0);
-        matmul_rows_into(self, other, 0, out.dm());
+        matmul_rows_into(self, other, out.dm());
     }
 
     /// `self^T * other` without materializing the transpose.
@@ -380,7 +380,7 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.cols, other.cols);
-        matmul_tn_rows_into(self, other, 0, out.dm());
+        matmul_tn_rows_into(self, other, out.dm());
         out
     }
 
@@ -402,7 +402,7 @@ impl Matrix {
             "matmul_tn_into: bad output shape"
         );
         out.fill(0.0);
-        matmul_tn_rows_into(self, other, 0, out.dm());
+        matmul_tn_rows_into(self, other, out.dm());
     }
 
     /// `self * other^T` without materializing the transpose.
@@ -416,7 +416,7 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.rows);
-        matmul_nt_rows_into(self, other, 0, out.dm());
+        matmul_nt_rows_into(self, other, out.dm());
         out
     }
 
@@ -438,7 +438,7 @@ impl Matrix {
             "matmul_nt_into: bad output shape"
         );
         out.fill(0.0);
-        matmul_nt_rows_into(self, other, 0, out.dm());
+        matmul_nt_rows_into(self, other, out.dm());
     }
 
     /// The transpose of this matrix.
@@ -847,8 +847,8 @@ impl Matrix {
 
 /// Overflow-safe logistic sigmoid: `1 / (1 + e^{-x})` evaluated so the
 /// exponential argument is never positive. This is the single definition the
-/// tape op, the `eval`/`eval_rt` inference paths, and the fused GEMM
-/// epilogue all share — bit-identity between them starts here.
+/// tape op and the fused GEMM epilogue (training and inference alike)
+/// share — bit-identity between them starts here.
 #[inline]
 pub fn stable_sigmoid(x: f64) -> f64 {
     if x >= 0.0 {
@@ -1058,7 +1058,7 @@ fn gemm_micro(apack: &[f64], bpack: &[f64], kb: usize, acc: &mut [[f64; NR]; MR]
 /// Packs the A block `[i0, i0+ib) x [k0, k0+kb)` into `apack`, tile-major:
 /// tile `t` holds rows `i0 + t*MR ..`, laid out kk-major with `MR` values per
 /// step, rows past `ib` padded with zeros. The source element for (row `i`,
-/// contraction `k`) is `data.at(base + i*i_stride + k*k_stride)` — `(i_stride,
+/// contraction `k`) is `data.at(i*i_stride + k*k_stride)` — `(i_stride,
 /// k_stride) = (cols, 1)` packs A for `A*B`, `(1, cols)` packs it transposed
 /// for `A^T*B`, so both GEMM variants share this routine and the driver.
 /// Generic over [`SrcRead`]: a [`DactSrc`] A fuses the backward
@@ -1067,7 +1067,6 @@ fn gemm_micro(apack: &[f64], bpack: &[f64], kb: usize, acc: &mut [[f64; NR]; MR]
 #[allow(clippy::too_many_arguments)]
 fn pack_a_block<A: SrcRead>(
     data: A,
-    base: usize,
     i_stride: usize,
     k_stride: usize,
     i0: usize,
@@ -1086,7 +1085,7 @@ fn pack_a_block<A: SrcRead>(
             let mb = (ib - t * MR).min(MR);
             for m in 0..MR {
                 if m < mb {
-                    let src = base + (i0 + t * MR + m) * i_stride + k0;
+                    let src = (i0 + t * MR + m) * i_stride + k0;
                     data.read_run(src, &mut run[..kb]);
                     for (kk, &v) in run[..kb].iter().enumerate() {
                         tile[kk * MR + m] = v;
@@ -1104,7 +1103,7 @@ fn pack_a_block<A: SrcRead>(
         for (t, tile) in apack.chunks_exact_mut(KC * MR).take(tiles).enumerate() {
             let mb = (ib - t * MR).min(MR);
             for (kk, dst) in tile.chunks_exact_mut(MR).take(kb).enumerate() {
-                let src = base + (i0 + t * MR) + (k0 + kk) * k_stride;
+                let src = (i0 + t * MR) + (k0 + kk) * k_stride;
                 data.read_run(src, &mut dst[..mb]);
                 dst[mb..].fill(0.0);
             }
@@ -1113,7 +1112,7 @@ fn pack_a_block<A: SrcRead>(
         for (t, tile) in apack.chunks_exact_mut(KC * MR).take(tiles).enumerate() {
             let mb = (ib - t * MR).min(MR);
             for (kk, dst) in tile.chunks_exact_mut(MR).take(kb).enumerate() {
-                let src = base + (i0 + t * MR) * i_stride + (k0 + kk) * k_stride;
+                let src = (i0 + t * MR) * i_stride + (k0 + kk) * k_stride;
                 for (m, d) in dst.iter_mut().enumerate() {
                     *d = if m < mb {
                         data.at(src + m * i_stride)
@@ -1192,7 +1191,7 @@ fn pack_bt_panel(
 
 /// The shared blocked driver behind all three `matmul_*_rows_into` kernels:
 /// accumulates `A * B` into `out` where `A` is the `rows x kdim` operand
-/// addressed through `(a_base, a_istride, a_kstride)` as in
+/// addressed through `(a_istride, a_kstride)` as in
 /// [`pack_a_block`], and `B` is delivered in packed `KC x NR` panels by
 /// `pack_b` ([`pack_b_panel`] for a row-major B, [`pack_bt_panel`] for a
 /// transposed one). `out` holds `rows` full rows of `n` and is accumulated
@@ -1207,7 +1206,6 @@ fn pack_bt_panel(
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked<A: SrcRead>(
     a_data: A,
-    a_base: usize,
     a_istride: usize,
     a_kstride: usize,
     kdim: usize,
@@ -1229,9 +1227,7 @@ fn gemm_blocked<A: SrcRead>(
             // The epilogue fires only on the k-block that completes each
             // element's accumulation chain.
             let fin = if k0 + kb == kdim { epi } else { None };
-            pack_a_block(
-                a_data, a_base, a_istride, a_kstride, i0, ib, k0, kb, &mut apack,
-            );
+            pack_a_block(a_data, a_istride, a_kstride, i0, ib, k0, kb, &mut apack);
             let mut j0 = 0;
             while j0 < n {
                 let jb = (n - j0).min(NR);
@@ -1266,15 +1262,13 @@ fn gemm_blocked<A: SrcRead>(
     }
 }
 
-/// Computes out rows `[first_row, first_row + out.len() / b.cols())` of
-/// `a * b` into `out` (a row-major slice of whole out rows), accumulating
-/// into the existing contents (callers pre-zero `out`).
+/// Computes `a * b` into `out` (row-major, `a.rows() x b.cols()`),
+/// accumulating into the existing contents (callers pre-zero `out`).
 ///
 /// Each out element accumulates over `k` in ascending order and depends only
-/// on its own global indices, so any partition of the row range produces
-/// bit-identical results — this is the kernel behind both the serial
-/// [`Matrix::matmul`] and the runtime-parallel [`Matrix::matmul_rt`].
-pub(crate) fn matmul_rows_into(a: &Matrix, b: &Matrix, first_row: usize, out: &mut [f64]) {
+/// on its own indices — this is the kernel behind [`Matrix::matmul`] and
+/// [`Matrix::matmul_into`].
+fn matmul_rows_into(a: &Matrix, b: &Matrix, out: &mut [f64]) {
     let n = b.cols;
     if n == 0 || out.is_empty() {
         return;
@@ -1282,39 +1276,25 @@ pub(crate) fn matmul_rows_into(a: &Matrix, b: &Matrix, first_row: usize, out: &m
     let rows = out.len() / n;
     match gemm_path(rows, n, a.cols, SMALL_MAX_FLOPS_NN) {
         GemmPath::Scalar => {
-            let base = first_row * a.cols;
-            smallgemm::gemm_nn_scalar(a.d(), base, a.cols, a.cols, b.d(), n, None, out);
-            return;
+            smallgemm::gemm_nn_scalar(a.d(), a.cols, a.cols, b.d(), n, None, out);
         }
         GemmPath::Small => {
-            let base = first_row * a.cols;
-            smallgemm::gemm_nn_small(a.d(), base, a.cols, a.cols, b.d(), n, None, out);
-            return;
+            smallgemm::gemm_nn_small(a.d(), a.cols, a.cols, b.d(), n, None, out);
         }
-        GemmPath::Blocked => {}
+        GemmPath::Blocked => {
+            let pack_b = |k0, kb, j0, jb, bp: &mut _| pack_b_panel(b, k0, kb, j0, jb, bp);
+            gemm_blocked(a.d(), a.cols, 1, a.cols, n, pack_b, None, out);
+        }
     }
-    let pack_b = |k0, kb, j0, jb, bp: &mut _| pack_b_panel(b, k0, kb, j0, jb, bp);
-    gemm_blocked(
-        a.d(),
-        first_row * a.cols,
-        a.cols,
-        1,
-        a.cols,
-        n,
-        pack_b,
-        None,
-        out,
-    );
 }
 
-/// Computes out rows `[first_row, ...)` of `a * b^T` into `out`,
-/// accumulating into the existing contents (callers pre-zero `out`).
+/// Computes `a * b^T` into `out`, accumulating into the existing contents
+/// (callers pre-zero `out`).
 ///
-/// Every element is a single dot-product chain over `k` ascending — each
-/// depends only on its own indices, so any row-range partition is
-/// bit-identical. The blocked path packs rows of `b` as transposed panels
-/// ([`pack_bt_panel`]) and reuses the straight GEMM driver.
-pub(crate) fn matmul_nt_rows_into(a: &Matrix, b: &Matrix, first_row: usize, out: &mut [f64]) {
+/// Every element is a single dot-product chain over `k` ascending. The
+/// blocked path packs rows of `b` as transposed panels ([`pack_bt_panel`])
+/// and reuses the straight GEMM driver.
+fn matmul_nt_rows_into(a: &Matrix, b: &Matrix, out: &mut [f64]) {
     let n = b.rows;
     if n == 0 || out.is_empty() {
         return;
@@ -1322,40 +1302,27 @@ pub(crate) fn matmul_nt_rows_into(a: &Matrix, b: &Matrix, first_row: usize, out:
     let rows = out.len() / n;
     match gemm_path(rows, n, a.cols, SMALL_MAX_FLOPS_NT) {
         GemmPath::Scalar => {
-            let base = first_row * a.cols;
-            smallgemm::gemm_nt_scalar(a.d(), base, a.cols, a.cols, b.d(), b.cols, n, out);
-            return;
+            smallgemm::gemm_nt_scalar(a.d(), a.cols, a.cols, b.d(), b.cols, n, out);
         }
         GemmPath::Small => {
-            let base = first_row * a.cols;
-            smallgemm::gemm_nt_small(a.d(), base, a.cols, a.cols, b.d(), b.cols, n, out);
-            return;
+            smallgemm::gemm_nt_small(a.d(), a.cols, a.cols, b.d(), b.cols, n, out);
         }
-        GemmPath::Blocked => {}
+        GemmPath::Blocked => {
+            let pack_b = |k0, kb, j0, jb, bp: &mut _| pack_bt_panel(b, k0, kb, j0, jb, bp);
+            gemm_blocked(a.d(), a.cols, 1, a.cols, n, pack_b, None, out);
+        }
     }
-    let pack_b = |k0, kb, j0, jb, bp: &mut _| pack_bt_panel(b, k0, kb, j0, jb, bp);
-    gemm_blocked(
-        a.d(),
-        first_row * a.cols,
-        a.cols,
-        1,
-        a.cols,
-        n,
-        pack_b,
-        None,
-        out,
-    );
 }
 
-/// Computes out rows `[first_k, ...)` of `a^T * b` into `out`, accumulating
-/// into the existing contents (callers pre-zero `out`).
+/// Computes `a^T * b` into `out`, accumulating into the existing contents
+/// (callers pre-zero `out`).
 ///
 /// Accumulates over data rows `r` in ascending order — the same per-element
 /// operand sequence as `a.transpose().matmul(&b)`, so the two are
 /// bit-identical. The blocked path reuses [`gemm_blocked`] with A addressed
 /// through its transpose strides; the packed panels are identical to what a
 /// materialized transpose would produce, so the chains match exactly.
-pub(crate) fn matmul_tn_rows_into(a: &Matrix, b: &Matrix, first_k: usize, out: &mut [f64]) {
+fn matmul_tn_rows_into(a: &Matrix, b: &Matrix, out: &mut [f64]) {
     let n = b.cols;
     if n == 0 || out.is_empty() {
         return;
@@ -1363,14 +1330,14 @@ pub(crate) fn matmul_tn_rows_into(a: &Matrix, b: &Matrix, first_k: usize, out: &
     let rows = out.len() / n;
     match gemm_path(rows, n, a.rows, SMALL_MAX_FLOPS_TN) {
         GemmPath::Scalar => {
-            smallgemm::gemm_tn_scalar(a.d(), a.cols, a.rows, first_k, b.d(), n, out);
+            smallgemm::gemm_tn_scalar(a.d(), a.cols, a.rows, b.d(), n, out);
         }
         GemmPath::Small => {
-            smallgemm::gemm_tn_small(a.d(), a.cols, a.rows, first_k, b.d(), n, out);
+            smallgemm::gemm_tn_small(a.d(), a.cols, a.rows, b.d(), n, out);
         }
         GemmPath::Blocked => {
             let pack_b = |k0, kb, j0, jb, bp: &mut _| pack_b_panel(b, k0, kb, j0, jb, bp);
-            gemm_blocked(a.d(), first_k, 1, a.cols, a.rows, n, pack_b, None, out);
+            gemm_blocked(a.d(), 1, a.cols, a.rows, n, pack_b, None, out);
         }
     }
 }
@@ -1412,14 +1379,14 @@ pub fn matmul_bias_act_rows_into(
     out.fill(0.0);
     match gemm_path(rows, n, d_in, SMALL_MAX_FLOPS_NN) {
         GemmPath::Scalar => {
-            smallgemm::gemm_nn_scalar(x_rows, 0, d_in, d_in, w.d(), n, Some((bias, act)), out);
+            smallgemm::gemm_nn_scalar(x_rows, d_in, d_in, w.d(), n, Some((bias, act)), out);
         }
         GemmPath::Small => {
-            smallgemm::gemm_nn_small(x_rows, 0, d_in, d_in, w.d(), n, Some((bias, act)), out);
+            smallgemm::gemm_nn_small(x_rows, d_in, d_in, w.d(), n, Some((bias, act)), out);
         }
         GemmPath::Blocked => {
             let pack_b = |k0, kb, j0, jb, bp: &mut _| pack_b_panel(w, k0, kb, j0, jb, bp);
-            gemm_blocked(x_rows, 0, d_in, 1, d_in, n, pack_b, Some((bias, act)), out);
+            gemm_blocked(x_rows, d_in, 1, d_in, n, pack_b, Some((bias, act)), out);
         }
     }
 }
@@ -1502,14 +1469,14 @@ pub fn dense_backward_data_into(g: &Matrix, y: &Matrix, act: EpiAct, w: &Matrix,
     let out = out.dm();
     match gemm_path(rows, n, k, SMALL_MAX_FLOPS_NT) {
         GemmPath::Scalar => {
-            smallgemm::gemm_nt_scalar(dz, 0, k, k, w.d(), w.cols, n, out);
+            smallgemm::gemm_nt_scalar(dz, k, k, w.d(), w.cols, n, out);
         }
         GemmPath::Small => {
-            smallgemm::gemm_nt_small(dz, 0, k, k, w.d(), w.cols, n, out);
+            smallgemm::gemm_nt_small(dz, k, k, w.d(), w.cols, n, out);
         }
         GemmPath::Blocked => {
             let pack_b = |k0, kb, j0, jb, bp: &mut _| pack_bt_panel(w, k0, kb, j0, jb, bp);
-            gemm_blocked(dz, 0, k, 1, k, n, pack_b, None, out);
+            gemm_blocked(dz, k, 1, k, n, pack_b, None, out);
         }
     }
 }
@@ -1558,10 +1525,10 @@ pub fn dense_backward_weights_into(
     let out = out.dm();
     match gemm_path(rows, n, x.rows, SMALL_MAX_FLOPS_TN) {
         GemmPath::Scalar => {
-            smallgemm::gemm_tn_scalar(x.d(), x.cols, x.rows, 0, dz, n, out);
+            smallgemm::gemm_tn_scalar(x.d(), x.cols, x.rows, dz, n, out);
         }
         GemmPath::Small => {
-            smallgemm::gemm_tn_small(x.d(), x.cols, x.rows, 0, dz, n, out);
+            smallgemm::gemm_tn_small(x.d(), x.cols, x.rows, dz, n, out);
         }
         GemmPath::Blocked => {
             // B panels are re-packed once per `MC` row-block of the output,
@@ -1574,20 +1541,21 @@ pub fn dense_backward_weights_into(
             let g_cols = g.cols;
             let pack_b =
                 |k0, kb, j0, jb, bp: &mut _| pack_b_panel_src(dz, g_cols, k0, kb, j0, jb, bp);
-            gemm_blocked(x.d(), 0, 1, x.cols, x.rows, n, pack_b, None, out);
+            gemm_blocked(x.d(), 1, x.cols, x.rows, n, pack_b, None, out);
         }
     }
 }
 
-/// The pre-blocking scalar kernels, retained verbatim as the baseline the
-/// blocked implementations are measured and tested against
-/// (`bench_training`'s speedup rows, the odd-shape equivalence tests).
+/// The pre-blocking scalar kernels, kept as the test oracle the blocked and
+/// tiled implementations are checked against (the odd-shape and
+/// degenerate-shape equivalence tests below).
 ///
 /// Values are identical to the blocked path up to the sign of exact zeros:
 /// these kernels skip zero multiplicands, which can turn a `-0.0` sum into
 /// `0.0`. `PartialEq` on `f64` treats the two as equal, so `assert_eq!`
 /// comparisons against the blocked kernels hold.
-pub mod reference {
+#[cfg(test)]
+mod reference {
     use super::Matrix;
 
     /// Pre-blocking `a * b` (naive i-k-j with zero-skip).

@@ -142,7 +142,6 @@ fn store_row(dst: &mut [f64], acc: &[f64], j0: usize, epi: Option<(&[f64], EpiAc
 #[allow(clippy::too_many_arguments)]
 fn nn_tile<A: SrcRead>(
     a: A,
-    a_base: usize,
     a_stride: usize,
     k_dim: usize,
     b: &[f64],
@@ -162,7 +161,7 @@ fn nn_tile<A: SrcRead>(
             .try_into()
             .expect("SNR b row");
         for (m, acc_row) in acc.iter_mut().enumerate() {
-            let av = a.at(a_base + (r0 + m) * a_stride + k);
+            let av = a.at((r0 + m) * a_stride + k);
             for (o, &bv) in acc_row.iter_mut().zip(brow) {
                 *o += av * bv;
             }
@@ -181,7 +180,6 @@ fn nn_tile<A: SrcRead>(
 #[allow(clippy::too_many_arguments)]
 fn nn_edge<A: SrcRead>(
     a: A,
-    a_base: usize,
     a_stride: usize,
     k_dim: usize,
     b: &[f64],
@@ -195,7 +193,7 @@ fn nn_edge<A: SrcRead>(
 ) {
     for m in 0..mb {
         let r = r0 + m;
-        let a_row = a_base + r * a_stride;
+        let a_row = r * a_stride;
         let dst = &mut out[r * n + j0..r * n + j0 + jb];
         for k in 0..k_dim {
             let av = a.at(a_row + k);
@@ -212,15 +210,13 @@ fn nn_edge<A: SrcRead>(
 }
 
 /// The register-tiled `nn` small kernel: `out[r][j] += Σ_k a(r,k)·b(k,j)`
-/// with element `(r, k)` of A at `a_base + r*a_stride + k` and a row-major
+/// with element `(r, k)` of A at `r*a_stride + k` and a row-major
 /// B. `out` holds `rows` full rows of `n`, pre-zeroed by the caller (or
 /// holding partial sums to accumulate onto). `epi` fuses the dense-layer
 /// bias+activation epilogue at tile write-back, exactly as the blocked
 /// driver does.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_nn_small<A: SrcRead>(
     a: A,
-    a_base: usize,
     a_stride: usize,
     k_dim: usize,
     b: &[f64],
@@ -233,42 +229,16 @@ pub(crate) fn gemm_nn_small<A: SrcRead>(
     while r0 + SMR <= rows {
         let mut j0 = 0;
         while j0 + SNR <= n {
-            nn_tile(a, a_base, a_stride, k_dim, b, n, r0, j0, epi, out);
+            nn_tile(a, a_stride, k_dim, b, n, r0, j0, epi, out);
             j0 += SNR;
         }
         if j0 < n {
-            nn_edge(
-                a,
-                a_base,
-                a_stride,
-                k_dim,
-                b,
-                n,
-                r0,
-                SMR,
-                j0,
-                n - j0,
-                epi,
-                out,
-            );
+            nn_edge(a, a_stride, k_dim, b, n, r0, SMR, j0, n - j0, epi, out);
         }
         r0 += SMR;
     }
     if r0 < rows {
-        nn_edge(
-            a,
-            a_base,
-            a_stride,
-            k_dim,
-            b,
-            n,
-            r0,
-            rows - r0,
-            0,
-            n,
-            epi,
-            out,
-        );
+        nn_edge(a, a_stride, k_dim, b, n, r0, rows - r0, 0, n, epi, out);
     }
 }
 
@@ -276,10 +246,8 @@ pub(crate) fn gemm_nn_small<A: SrcRead>(
 /// the exact i-k-j loop of the original naive kernel, generic over the
 /// A read path and with the optional fused epilogue applied per finished
 /// out row.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_nn_scalar<A: SrcRead>(
     a: A,
-    a_base: usize,
     a_stride: usize,
     k_dim: usize,
     b: &[f64],
@@ -288,7 +256,7 @@ pub(crate) fn gemm_nn_scalar<A: SrcRead>(
     out: &mut [f64],
 ) {
     for (r, out_row) in out.chunks_mut(n).enumerate() {
-        let a_row = a_base + r * a_stride;
+        let a_row = r * a_stride;
         for k in 0..k_dim {
             let av = a.at(a_row + k);
             for (o, &bv) in out_row.iter_mut().zip(&b[k * n..(k + 1) * n]) {
@@ -404,10 +372,8 @@ fn nt_block_chunk(
 /// B rows). This is the backward data-gradient shape `dX = dZ · Wᵀ`; pass
 /// a [`DactSrc`] as `a` to fuse the activation-derivative product into
 /// the read path.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_nt_small<A: SrcRead>(
     a: A,
-    a_base: usize,
     a_stride: usize,
     k_dim: usize,
     b: &[f64],
@@ -429,7 +395,7 @@ pub(crate) fn gemm_nt_small<A: SrcRead>(
         while k0 < k_dim {
             let kb = (k_dim - k0).min(SKC);
             for m in 0..mb {
-                let src = a_base + (r0 + m) * a_stride + k0;
+                let src = (r0 + m) * a_stride + k0;
                 a.read_run(src, &mut abuf[m * SKC..m * SKC + kb]);
             }
             let mut j0 = 0;
@@ -456,10 +422,8 @@ pub(crate) fn gemm_nt_small<A: SrcRead>(
 /// The scalar `nt` fallback: the exact dot-product loop of the original
 /// naive kernel (local chain from `0.0`, then one add onto `out`), generic
 /// over the A read path.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_nt_scalar<A: SrcRead>(
     a: A,
-    a_base: usize,
     a_stride: usize,
     k_dim: usize,
     b: &[f64],
@@ -468,7 +432,7 @@ pub(crate) fn gemm_nt_scalar<A: SrcRead>(
     out: &mut [f64],
 ) {
     for (r, out_row) in out.chunks_mut(n).enumerate() {
-        let a_row = a_base + r * a_stride;
+        let a_row = r * a_stride;
         for (j, o) in out_row.iter_mut().enumerate() {
             let b_row = j * b_stride;
             let mut acc = 0.0;
@@ -481,7 +445,7 @@ pub(crate) fn gemm_nt_scalar<A: SrcRead>(
 }
 
 // ---------------------------------------------------------------------------
-// tn: out[kk][j] += Σ_r a(r, first_k + kk) · b(r, j)
+// tn: out[k][j] += Σ_r a(r, k) · b(r, j)
 
 /// Contraction-chunk length (in `r`) of the `tn` kernel's B column-block
 /// buffer: `TN_RC` rows of `SNR` values are 16 KiB of stack, read in bulk
@@ -501,7 +465,6 @@ const TN_RC: usize = 256;
 fn tn_tile_chunk(
     a: &[f64],
     a_stride: usize,
-    first_k: usize,
     bbuf: &[f64; TN_RC * SNR],
     rb: usize,
     r0: usize,
@@ -516,7 +479,7 @@ fn tn_tile_chunk(
         acc_row.copy_from_slice(&out[o..o + SNR]);
     }
     for r in 0..rb {
-        let a_off = (r0 + r) * a_stride + first_k + kk0;
+        let a_off = (r0 + r) * a_stride + kk0;
         let mut bv = [0.0f64; SNR];
         bv.copy_from_slice(&bbuf[r * SNR..(r + 1) * SNR]);
         for (m, acc_row) in acc.iter_mut().enumerate() {
@@ -540,7 +503,6 @@ fn tn_tile_chunk(
 fn tn_block_chunk(
     a: &[f64],
     a_stride: usize,
-    first_k: usize,
     bbuf: &[f64; TN_RC * SNR],
     rb: usize,
     r0: usize,
@@ -557,7 +519,7 @@ fn tn_block_chunk(
         acc_row[..jb].copy_from_slice(&out[o..o + jb]);
     }
     for r in 0..rb {
-        let a_off = (r0 + r) * a_stride + first_k + kk0;
+        let a_off = (r0 + r) * a_stride + kk0;
         let bv = &bbuf[r * SNR..r * SNR + jb];
         for (m, acc_row) in acc.iter_mut().take(mb).enumerate() {
             let av = a[a_off + m];
@@ -572,8 +534,8 @@ fn tn_block_chunk(
     }
 }
 
-/// The register-tiled `tn` small kernel: `out[kk][j] += Σ_r a(r, first_k +
-/// kk)·b(r, j)` over a row-major `a_rows x a_stride` A read column-wise.
+/// The register-tiled `tn` small kernel: `out[k][j] += Σ_r a(r, k)·b(r, j)`
+/// over a row-major `a_rows x a_stride` A read column-wise.
 /// This is the backward weight-gradient shape `dW = Xᵀ · dZ`; pass a
 /// [`DactSrc`] as `b` to fuse the activation-derivative product into the
 /// read path — each element is computed exactly once (bulk `read_run`
@@ -584,7 +546,6 @@ pub(crate) fn gemm_tn_small<B: SrcRead>(
     a: &[f64],
     a_stride: usize,
     a_rows: usize,
-    first_k: usize,
     b: B,
     n: usize,
     out: &mut [f64],
@@ -604,20 +565,18 @@ pub(crate) fn gemm_tn_small<B: SrcRead>(
             let mut kk0 = 0;
             if full_width {
                 while kk0 + SMR <= out_rows {
-                    tn_tile_chunk(a, a_stride, first_k, &bbuf, rb, r0, n, kk0, j0, out);
+                    tn_tile_chunk(a, a_stride, &bbuf, rb, r0, n, kk0, j0, out);
                     kk0 += SMR;
                 }
             } else {
                 while kk0 + SMR <= out_rows {
-                    tn_block_chunk(
-                        a, a_stride, first_k, &bbuf, rb, r0, n, kk0, SMR, j0, jb, out,
-                    );
+                    tn_block_chunk(a, a_stride, &bbuf, rb, r0, n, kk0, SMR, j0, jb, out);
                     kk0 += SMR;
                 }
             }
             if kk0 < out_rows {
                 let mb = out_rows - kk0;
-                tn_block_chunk(a, a_stride, first_k, &bbuf, rb, r0, n, kk0, mb, j0, jb, out);
+                tn_block_chunk(a, a_stride, &bbuf, rb, r0, n, kk0, mb, j0, jb, out);
             }
             r0 += rb;
         }
@@ -631,13 +590,11 @@ pub(crate) fn gemm_tn_scalar<B: SrcRead>(
     a: &[f64],
     a_stride: usize,
     a_rows: usize,
-    first_k: usize,
     b: B,
     n: usize,
     out: &mut [f64],
 ) {
-    for (kk, out_row) in out.chunks_mut(n).enumerate() {
-        let k = first_k + kk;
+    for (k, out_row) in out.chunks_mut(n).enumerate() {
         for r in 0..a_rows {
             let av = a[r * a_stride + k];
             let b_off = r * n;

@@ -9,7 +9,6 @@
 use rand::Rng;
 use targad_autograd::{Tape, Var, VarStore};
 use targad_linalg::Matrix;
-use targad_runtime::Runtime;
 
 use crate::layers::{Activation, Mlp};
 
@@ -100,25 +99,6 @@ impl AutoEncoder {
     pub fn reconstruct_eval(&self, store: &VarStore, x: &Matrix) -> Matrix {
         self.decoder.eval(store, &self.encoder.eval(store, x))
     }
-
-    /// Inference-path squared reconstruction errors (Eq. 2), one per row.
-    pub fn recon_errors(&self, store: &VarStore, x: &Matrix) -> Vec<f64> {
-        let xhat = self.reconstruct_eval(store, x);
-        (&xhat - x).row_sq_norms()
-    }
-
-    /// [`AutoEncoder::reconstruct_eval`] executed on `rt`.
-    pub fn reconstruct_eval_rt(&self, store: &VarStore, x: &Matrix, rt: &Runtime) -> Matrix {
-        self.decoder
-            .eval_rt(store, &self.encoder.eval_rt(store, x, rt), rt)
-    }
-
-    /// [`AutoEncoder::recon_errors`] executed on `rt`; bit-identical to the
-    /// serial path at any worker count.
-    pub fn recon_errors_rt(&self, store: &VarStore, x: &Matrix, rt: &Runtime) -> Vec<f64> {
-        let xhat = self.reconstruct_eval_rt(store, x, rt);
-        (&xhat - x).row_sq_norms()
-    }
 }
 
 #[cfg(test)]
@@ -127,6 +107,11 @@ mod tests {
     use crate::optim::{Adam, Optimizer};
     use targad_autograd::check::gradient_check;
     use targad_linalg::rng as lrng;
+
+    /// Per-row squared reconstruction errors (Eq. 2) on the plain forward.
+    fn recon_errors(ae: &AutoEncoder, vs: &VarStore, x: &Matrix) -> Vec<f64> {
+        (&ae.reconstruct_eval(vs, x) - x).row_sq_norms()
+    }
 
     #[test]
     fn shapes_are_symmetric() {
@@ -138,7 +123,7 @@ mod tests {
         let x = lrng::uniform_matrix(&mut rng, 4, 10, 0.0, 1.0);
         assert_eq!(ae.encode_eval(&vs, &x).shape(), (4, 3));
         assert_eq!(ae.reconstruct_eval(&vs, &x).shape(), (4, 10));
-        assert_eq!(ae.recon_errors(&vs, &x).len(), 4);
+        assert_eq!(recon_errors(&ae, &vs, &x).len(), 4);
     }
 
     #[test]
@@ -147,7 +132,7 @@ mod tests {
         let mut vs = VarStore::new();
         let ae = AutoEncoder::new(&mut vs, &mut rng, &[5, 3]);
         let x = lrng::uniform_matrix(&mut rng, 10, 5, 0.0, 1.0);
-        assert!(ae.recon_errors(&vs, &x).iter().all(|&e| e >= 0.0));
+        assert!(recon_errors(&ae, &vs, &x).iter().all(|&e| e >= 0.0));
     }
 
     #[test]
@@ -187,7 +172,7 @@ mod tests {
             (base[(0, c)] + 0.01 * (r as f64 % 5.0)).min(1.0)
         });
 
-        let before: f64 = ae.recon_errors(&vs, &x).iter().sum();
+        let before: f64 = recon_errors(&ae, &vs, &x).iter().sum();
         let mut opt = Adam::new(1e-2);
         let mut t = Tape::new();
         for _ in 0..200 {
@@ -199,7 +184,7 @@ mod tests {
             t.backward(loss, &mut vs);
             opt.step(&mut vs);
         }
-        let after: f64 = ae.recon_errors(&vs, &x).iter().sum();
+        let after: f64 = recon_errors(&ae, &vs, &x).iter().sum();
         assert!(after < before * 0.2, "before {before}, after {after}");
     }
 }

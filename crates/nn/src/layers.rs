@@ -2,8 +2,7 @@
 
 use rand::Rng;
 use targad_autograd::{ParamId, Tape, Var, VarStore};
-use targad_linalg::{rng as lrng, EpiAct, Matrix};
-use targad_runtime::Runtime;
+use targad_linalg::{matmul_bias_act_rows_into, rng as lrng, EpiAct, Matrix};
 
 /// Activation functions used across the reproduction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,8 +21,8 @@ pub enum Activation {
 
 impl Activation {
     /// The scalar epilogue form of this activation — the single definition
-    /// shared by [`Activation::eval`], [`Activation::eval_rt`], and the
-    /// fused GEMM write-back and backward read path in `targad-linalg`.
+    /// the fused GEMM write-back and backward read path in `targad-linalg`
+    /// share, for training and inference alike.
     pub fn epi(self) -> EpiAct {
         match self {
             Activation::None => EpiAct::None,
@@ -32,26 +31,6 @@ impl Activation {
             Activation::Sigmoid => EpiAct::Sigmoid,
             Activation::Tanh => EpiAct::Tanh,
         }
-    }
-
-    /// Applies the activation directly to a matrix (inference path). Mapped
-    /// in place — the caller hands over the matrix, so no fresh allocation.
-    pub fn eval(self, mut m: Matrix) -> Matrix {
-        if self != Activation::None {
-            let epi = self.epi();
-            m.map_inplace(|x| epi.apply(x));
-        }
-        m
-    }
-
-    /// [`Activation::eval`] executed on `rt`; bit-identical to the serial
-    /// path at any worker count.
-    pub fn eval_rt(self, mut m: Matrix, rt: &Runtime) -> Matrix {
-        if self != Activation::None {
-            let epi = self.epi();
-            m.map_inplace_rt(|x| epi.apply(x), rt);
-        }
-        m
     }
 }
 
@@ -127,19 +106,6 @@ impl Linear {
         let w = tape.param(store, self.w);
         let b = tape.param(store, self.b);
         tape.dense(x, w, b, act.epi())
-    }
-
-    /// Inference-path forward on plain matrices.
-    pub fn eval(&self, store: &VarStore, x: &Matrix) -> Matrix {
-        x.matmul(store.value(self.w))
-            .add_row_broadcast(store.value(self.b))
-    }
-
-    /// [`Linear::eval`] executed on `rt`; bit-identical to the serial path
-    /// at any worker count (the batched product parallelizes over rows).
-    pub fn eval_rt(&self, store: &VarStore, x: &Matrix, rt: &Runtime) -> Matrix {
-        x.matmul_rt(store.value(self.w), rt)
-            .add_row_broadcast(store.value(self.b))
     }
 
     /// [`Linear::forward`] treating this layer's parameters as
@@ -285,38 +251,27 @@ impl Mlp {
         h
     }
 
-    /// Inference-path forward on plain matrices.
+    /// Inference-path forward on plain matrices: one fused
+    /// `act(h·W + b)` GEMM per layer ([`matmul_bias_act_rows_into`]), the
+    /// kernel the tape's `Dense` op and the pooled `ScoreEngine` also run,
+    /// so all three produce the same bits.
     pub fn eval(&self, store: &VarStore, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        let last = self.layers.len() - 1;
+        let mut h: Option<Matrix> = None;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.eval(store, &h);
-            let act = if i == last {
-                self.out_act
-            } else {
-                self.hidden_act
-            };
-            h = act.eval(h);
+            let src = h.as_ref().unwrap_or(x);
+            let (w, b) = layer.params();
+            let mut out = Matrix::zeros(src.rows(), layer.out_dim());
+            matmul_bias_act_rows_into(
+                src.as_slice(),
+                src.cols(),
+                store.value(w),
+                store.value(b).as_slice(),
+                self.act(i).epi(),
+                out.as_mut_slice(),
+            );
+            h = Some(out);
         }
-        h
-    }
-
-    /// [`Mlp::eval`] executed on `rt`: the batched forward pass
-    /// parallelizes over rows, bit-identical to the serial path at any
-    /// worker count.
-    pub fn eval_rt(&self, store: &VarStore, x: &Matrix, rt: &Runtime) -> Matrix {
-        let mut h = x.clone();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.eval_rt(store, &h, rt);
-            let act = if i == last {
-                self.out_act
-            } else {
-                self.hidden_act
-            };
-            h = act.eval_rt(h, rt);
-        }
-        h
+        h.expect("Mlp has at least one layer")
     }
 
     /// Tape forward with frozen parameters — see
@@ -342,15 +297,17 @@ mod tests {
         let layer = Linear::new(&mut vs, &mut rng, 4, 3);
         assert_eq!(layer.in_dim(), 4);
         assert_eq!(layer.out_dim(), 3);
-        let x = Matrix::ones(2, 4);
-        let y = layer.eval(&vs, &x);
-        assert_eq!(y.shape(), (2, 3));
+        let (w, b) = layer.params();
+        assert_eq!(vs.value(w).shape(), (4, 3));
+        assert_eq!(vs.value(b).shape(), (1, 3));
 
-        // Same seed → same init → same output.
+        // Same seed → same init.
         let mut rng2 = lrng::seeded(1);
         let mut vs2 = VarStore::new();
         let layer2 = Linear::new(&mut vs2, &mut rng2, 4, 3);
-        assert_eq!(layer2.eval(&vs2, &x), y);
+        let (w2, b2) = layer2.params();
+        assert_eq!(vs2.value(w2), vs.value(w));
+        assert_eq!(vs2.value(b2), vs.value(b));
     }
 
     #[test]
@@ -372,11 +329,8 @@ mod tests {
         let out = mlp.forward(&mut tape, &vs, xv);
         let via_tape = tape.value(out);
         assert_eq!(via_tape.shape(), (4, 2));
-        for r in 0..4 {
-            for c in 0..2 {
-                assert!((via_tape[(r, c)] - via_eval[(r, c)]).abs() < 1e-12);
-            }
-        }
+        // Both run the fused dense kernel, so they agree bit for bit.
+        assert_eq!(via_tape, &via_eval);
     }
 
     #[test]

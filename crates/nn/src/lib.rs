@@ -10,6 +10,9 @@
 //! - `forward` builds a graph on a [`targad_autograd::Tape`] for training;
 //! - `eval` computes values directly on [`targad_linalg::Matrix`] for
 //!   inference (scoring shouldn't pay tape overhead).
+//!
+//! Both, and the pooled [`ScoreEngine`], run every dense layer through the
+//! one fused kernel `targad_linalg::matmul_bias_act_rows_into`.
 
 pub mod ae;
 pub mod batch;

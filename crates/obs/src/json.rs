@@ -1,10 +1,25 @@
-//! Minimal JSON encoding helpers for the sinks (no external deps).
+//! Minimal JSON encoding helpers for the sinks and the serve front end
+//! (no external deps).
 
 use std::fmt::Write as _;
 
 /// Appends `s` as a JSON string literal (with quotes) to `out`.
 pub fn push_str(out: &mut String, s: &str) {
     out.push('"');
+    push_escaped(out, s);
+    out.push('"');
+}
+
+/// `s` escaped for embedding between the quotes of a JSON string literal.
+/// The workspace's one JSON string escaper: the telemetry sinks and the
+/// serve front end's response builders both go through it.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    push_escaped(&mut out, s);
+    out
+}
+
+fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -18,7 +33,6 @@ pub fn push_str(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 /// Appends `v` as a JSON number (non-finite values become `null`).

@@ -39,7 +39,7 @@
 //! [`TrainObserver`]: events::TrainObserver
 
 pub mod events;
-mod json;
+pub mod json;
 pub mod labeled;
 pub mod metrics;
 pub mod profile;

@@ -142,11 +142,6 @@ impl Runtime {
         self.threads
     }
 
-    /// Whether operations run inline on the calling thread.
-    pub fn is_serial(&self) -> bool {
-        self.threads == 1
-    }
-
     /// A copy of this runtime using at most `max_workers` workers. Callers
     /// use this to impose a work grain — e.g. "at least 64 rows per
     /// worker" — without touching the configured thread count.
@@ -201,20 +196,6 @@ impl Runtime {
             f(start, chunk);
         };
         pool::pool().run(workers, &job);
-    }
-
-    /// Splits `data` into contiguous chunks, one per worker, and calls
-    /// `f(offset, chunk)` on each in parallel. Equivalent to
-    /// [`Runtime::par_rows`] with single-element rows.
-    pub fn par_chunks<T, F>(&self, data: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        if data.is_empty() {
-            return;
-        }
-        self.par_rows(data, 1, f);
     }
 
     /// Computes `f(i)` for every `i in 0..len` in parallel and returns the
@@ -313,14 +294,13 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn new_clamps_to_one_and_serial_is_one() {
         assert_eq!(Runtime::new(0).threads(), 1);
         assert_eq!(Runtime::new(6).threads(), 6);
-        assert!(Runtime::serial().is_serial());
-        assert!(!Runtime::new(2).is_serial());
+        assert_eq!(Runtime::serial().threads(), 1);
+        assert_eq!(Runtime::new(2).threads(), 2);
     }
 
     #[test]
@@ -376,32 +356,6 @@ mod tests {
                 .collect();
             assert_eq!(data, expect, "workers = {workers}");
         }
-    }
-
-    #[test]
-    fn par_chunks_touches_every_element_once() {
-        let rt = Runtime::new(5);
-        let mut data = vec![0u32; 101];
-        let calls = AtomicUsize::new(0);
-        rt.par_chunks(&mut data, |offset, chunk| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v += (offset + i) as u32;
-            }
-        });
-        // Execution is clamped to the machine's parallelism, so anywhere
-        // from one chunk (single-core host) to five is legal — but every
-        // element must be produced exactly once either way.
-        let calls = calls.load(Ordering::SeqCst);
-        assert!((1..=5).contains(&calls), "got {calls} chunks");
-        assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32));
-    }
-
-    #[test]
-    fn par_chunks_on_empty_slice_is_a_no_op() {
-        let rt = Runtime::new(4);
-        let mut data: [u8; 0] = [];
-        rt.par_chunks(&mut data, |_, _| panic!("must not be called"));
     }
 
     #[test]

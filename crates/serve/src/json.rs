@@ -3,9 +3,10 @@
 //!
 //! Parsing is a plain recursive-descent pass; emission lives with the
 //! response builders in [`crate::server`], which format straight into
-//! strings ([`escape`] handles the one non-trivial part).
+//! strings ([`escape`], the `targad-obs` encoder's string escaper, handles
+//! the one non-trivial part).
 
-use std::fmt::Write as _;
+pub use targad_obs::json::escape;
 
 /// Deepest accepted container nesting. The parser is recursive-descent, so
 /// nesting depth is stack depth; without a cap, a body of ~100 KB of `[`
@@ -78,25 +79,6 @@ impl Json {
             _ => None,
         }
     }
-}
-
-/// Escapes `s` for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {

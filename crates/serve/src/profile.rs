@@ -228,7 +228,7 @@ impl WorkloadProfile {
             .map(|t| {
                 format!(
                     "{{\"tenant\": \"{}\", \"requests\": {}}}",
-                    crate::json::escape(&t.tenant),
+                    targad_obs::json::escape(&t.tenant),
                     t.requests
                 )
             })
@@ -237,7 +237,7 @@ impl WorkloadProfile {
             "{{\n  \"name\": \"{}\",\n  \"dims\": {},\n  \"requests\": {},\n  \"rows\": {},\n  \
              \"mean_rows_per_request\": {:.3},\n  \"tenants\": [{}],\n  \
              \"request_rows\": {},\n  \"arrival_gap_ns\": {},\n  \"batch_fill\": {}\n}}\n",
-            crate::json::escape(&self.name),
+            targad_obs::json::escape(&self.name),
             self.dims,
             self.requests,
             self.rows,

@@ -514,7 +514,7 @@ fn elapsed_ns(since: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use targad_core::{TargAd, TargAdConfig};
+    use targad_core::{Runtime, TargAd, TargAdConfig};
     use targad_data::GeneratorSpec;
 
     fn snapshot(tag: &str) -> ModelSnapshot {
@@ -607,7 +607,7 @@ mod tests {
         assert_eq!(held.tag, "m1");
         assert!(generation >= 2);
         let x = targad_linalg::Matrix::zeros(1, held.classifier.input_dim());
-        assert!(held.classifier.target_scores(&x)[0].is_finite());
+        assert!(held.classifier.target_scores_rt(&x, &Runtime::serial())[0].is_finite());
         assert!(matches!(
             registry.resolve(Some("t1")),
             Err(ServeError::UnknownTenant(_))

@@ -46,8 +46,9 @@ use targad_runtime::Runtime;
 use crate::batcher::MicroBatcher;
 use crate::config::{ServeConfig, ServeError};
 use crate::http::{read_request, write_response, Request};
-use crate::json::{escape, Json};
+use crate::json::Json;
 use crate::registry::{ModelRegistry, ModelSnapshot, DEFAULT_TENANT};
+use targad_obs::json::escape;
 
 /// How often blocked I/O paths re-check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);

@@ -48,7 +48,9 @@ fn serves_verdicts_swaps_models_and_shuts_down() {
 
     // Scores over HTTP are bit-identical to the in-process reference path
     // (f64s round-trip exactly through the {:?} wire format).
-    let reference = snap_a.classifier.verdicts(&x, OodStrategy::Msp, tau_a);
+    let reference = snap_a
+        .classifier
+        .verdicts_rt(&x, &Runtime::serial(), OodStrategy::Msp, tau_a);
     let resp = client
         .request("POST", "/score", &score_body(&x, 0, 5, Some("msp")))
         .expect("score");
@@ -171,7 +173,7 @@ fn serves_verdicts_swaps_models_and_shuts_down() {
         .expect("write snapshot");
     let body = format!(
         "{{\"path\": \"{}\", \"tag\": \"model-b\"}}",
-        targad_serve::json::escape(&path.display().to_string())
+        targad_obs::json::escape(&path.display().to_string())
     );
     let resp = client.request("POST", "/admin/swap", &body).expect("swap");
     assert_eq!(resp.status, 200, "{}", resp.text());

@@ -18,7 +18,9 @@ fn reference_verdicts(
     x: &targad_linalg::Matrix,
 ) -> Vec<(f64, targad_core::VerdictClass)> {
     let tau = common::tau_of(snapshot, OodStrategy::Msp);
-    let out = snapshot.classifier.verdicts(x, OodStrategy::Msp, tau);
+    let out = snapshot
+        .classifier
+        .verdicts_rt(x, &Runtime::serial(), OodStrategy::Msp, tau);
     (0..out.len())
         .map(|i| {
             let v = out.verdict(i);

@@ -63,7 +63,10 @@ fn tenants_fault_in_score_and_evict_over_http() {
     // A named tenant faults in from the store_dir on first use and scores
     // bit-identically to the in-process reference on its own model.
     let tau = common::tau_of(&tenant_snap, OodStrategy::Msp);
-    let reference = tenant_snap.classifier.verdicts(&x, OodStrategy::Msp, tau);
+    let reference =
+        tenant_snap
+            .classifier
+            .verdicts_rt(&x, &Runtime::serial(), OodStrategy::Msp, tau);
     let resp = client
         .request("POST", "/score", &score_body(&x, 3, Some("acme")))
         .expect("tenant score");
@@ -110,7 +113,7 @@ fn tenants_fault_in_score_and_evict_over_http() {
             "/admin/load",
             &format!(
                 "{{\"tenant\": \"acme\", \"path\": \"{}\", \"tag\": \"acme-v2\"}}",
-                targad_serve::json::escape(&dir.join("acme.tgsnp").display().to_string())
+                targad_obs::json::escape(&dir.join("acme.tgsnp").display().to_string())
             ),
         )
         .expect("admin load");

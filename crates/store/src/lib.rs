@@ -92,7 +92,7 @@ pub fn export_v2_string(model: &LoadedModel) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use targad_core::{Classifier, OodStrategy, ThresholdCache};
+    use targad_core::{Classifier, OodStrategy, Runtime, ThresholdCache};
     use targad_linalg::{rng as lrng, SharedBuffer};
 
     /// A deterministic synthetic classifier with the given architecture
@@ -128,8 +128,8 @@ mod tests {
         assert_eq!(model.classifier.layer_dims(), vec![7, 16, 5]);
         let x = lrng::normal_matrix(&mut lrng::seeded(5), 9, 7, 0.0, 1.0);
         assert_eq!(
-            model.classifier.target_scores(&x),
-            clf.target_scores(&x),
+            model.classifier.target_scores_rt(&x, &Runtime::serial()),
+            clf.target_scores_rt(&x, &Runtime::serial()),
             "restored scores must be bit-identical"
         );
         // Loaded weights borrow the buffer — no copies were made.
@@ -163,7 +163,10 @@ mod tests {
         let v3_again = import_v2_str(&text).expect("text parses");
         let model2 = from_words(SharedBuffer::from_vec(words_of(&v3_again))).expect("valid");
         let x = lrng::normal_matrix(&mut lrng::seeded(8), 5, 6, 0.0, 1.0);
-        assert_eq!(model2.classifier.target_scores(&x), clf.target_scores(&x));
+        assert_eq!(
+            model2.classifier.target_scores_rt(&x, &Runtime::serial()),
+            clf.target_scores_rt(&x, &Runtime::serial())
+        );
         assert_eq!(model2.thresholds, cache);
     }
 

@@ -5,7 +5,7 @@ mod common;
 
 use common::{fix_checksum, synthetic, temp_path};
 use proptest::prelude::*;
-use targad_core::{snapshot as text_snapshot, EnginePrecision, ThresholdCache};
+use targad_core::{snapshot as text_snapshot, EnginePrecision, Runtime, ThresholdCache};
 use targad_linalg::rng as lrng;
 use targad_store::{load_with, mmap_supported, save, LoadMode};
 
@@ -18,13 +18,19 @@ fn mmap_and_buffered_loads_are_bit_identical() {
 
     let buffered = load_with(&path, LoadMode::Buffered).expect("buffered load");
     let x = lrng::normal_matrix(&mut lrng::seeded(9), 33, 12, 0.0, 1.0);
-    let reference = clf.target_scores(&x);
-    assert_eq!(buffered.classifier.target_scores(&x), reference);
+    let reference = clf.target_scores_rt(&x, &Runtime::serial());
+    assert_eq!(
+        buffered.classifier.target_scores_rt(&x, &Runtime::serial()),
+        reference
+    );
     assert_eq!(buffered.thresholds, cache);
 
     if mmap_supported() {
         let mapped = load_with(&path, LoadMode::Mmap).expect("mmap load");
-        assert_eq!(mapped.classifier.target_scores(&x), reference);
+        assert_eq!(
+            mapped.classifier.target_scores_rt(&x, &Runtime::serial()),
+            reference
+        );
         assert_eq!(mapped.thresholds, cache);
         assert!(mapped.classifier.has_borrowed_parameters());
     }
@@ -46,8 +52,8 @@ fn v3_and_v2_text_loads_score_identically() {
 
     let x = lrng::normal_matrix(&mut lrng::seeded(10), 50, 10, 0.0, 1.0);
     assert_eq!(
-        from_v3.classifier.target_scores(&x),
-        from_v2.target_scores(&x),
+        from_v3.classifier.target_scores_rt(&x, &Runtime::serial()),
+        from_v2.target_scores_rt(&x, &Runtime::serial()),
         "binary and text loads must score bit-identically"
     );
     assert_eq!(from_v3.thresholds, v2_cache);
@@ -91,7 +97,7 @@ proptest! {
         prop_assert_eq!(&model.thresholds, &cache);
         prop_assert!(model.classifier.has_borrowed_parameters());
         let x = lrng::normal_matrix(&mut lrng::seeded(seed ^ 1), 7, dims[0], 0.0, 1.0);
-        prop_assert_eq!(model.classifier.target_scores(&x), clf.target_scores(&x));
+        prop_assert_eq!(model.classifier.target_scores_rt(&x, &Runtime::serial()), clf.target_scores_rt(&x, &Runtime::serial()));
     }
 
     /// Corrupting any single byte of a snapshot is always *detected* —

@@ -8,7 +8,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use common::{synthetic, temp_path};
-use targad_core::{snapshot as text_snapshot, EnginePrecision, ThresholdCache};
+use targad_core::{snapshot as text_snapshot, EnginePrecision, Runtime, ThresholdCache};
 use targad_linalg::rng as lrng;
 use targad_store::{load_with, mmap_supported, save, LoadMode};
 
@@ -66,7 +66,7 @@ fn mmap_load_makes_zero_weight_allocations() {
     text_snapshot::save_with_thresholds(&clf, &cache, &v2).expect("save v2");
 
     let x = lrng::normal_matrix(&mut lrng::seeded(3), 16, dims[0], 0.0, 1.0);
-    let reference = clf.target_scores(&x);
+    let reference = clf.target_scores_rt(&x, &Runtime::serial());
 
     // The buffered path allocates the file buffer (as designed).
     let mut loaded = None;
@@ -75,7 +75,11 @@ fn mmap_load_makes_zero_weight_allocations() {
     });
     assert!(buffered >= 1, "buffered path should read into a buffer");
     assert_eq!(
-        loaded.take().unwrap().classifier.target_scores(&x),
+        loaded
+            .take()
+            .unwrap()
+            .classifier
+            .target_scores_rt(&x, &Runtime::serial()),
         reference
     );
 
@@ -90,7 +94,11 @@ fn mmap_load_makes_zero_weight_allocations() {
     });
     assert!(text_allocs >= 1, "text path allocates weights");
     assert_eq!(
-        loaded.take().unwrap().classifier.target_scores(&x),
+        loaded
+            .take()
+            .unwrap()
+            .classifier
+            .target_scores_rt(&x, &Runtime::serial()),
         reference
     );
 
@@ -108,7 +116,10 @@ fn mmap_load_makes_zero_weight_allocations() {
     let mapped = loaded.take().unwrap();
     assert!(mapped.classifier.has_borrowed_parameters());
     assert_eq!(mapped.classifier.parameter_bytes(), 0);
-    assert_eq!(mapped.classifier.target_scores(&x), reference);
+    assert_eq!(
+        mapped.classifier.target_scores_rt(&x, &Runtime::serial()),
+        reference
+    );
 
     let _ = std::fs::remove_file(&v3);
     let _ = std::fs::remove_file(&v2);

@@ -36,8 +36,8 @@ fn main() {
     // ---- scoring service (separate process in real life) ----------------
     let (restored, thresholds) = snapshot::load_with_thresholds(&path).expect("reload model");
     assert_eq!(
-        restored.target_scores(&bundle.test.features),
-        clf.target_scores(&bundle.test.features),
+        restored.target_scores_rt(&bundle.test.features, &Runtime::serial()),
+        clf.target_scores_rt(&bundle.test.features, &Runtime::serial()),
         "snapshot must preserve scores bit-exactly"
     );
     let config = ServeConfig::builder()

@@ -55,46 +55,6 @@ fn three_way_predictions_partition_the_stream() {
 }
 
 #[test]
-fn fused_verdicts_match_the_reference_path_bitwise() {
-    // The serving/batch path (fused ScoreEngine inference) and the plain
-    // reference path (full logits matrix, per-row softmax) must agree to
-    // the last bit — scores, classes, and the Eq. 9 scalar score path.
-    let (model, bundle) = fitted();
-    let clf = model.classifier().expect("fitted");
-    for strategy in OodStrategy::all() {
-        let tau = model.thresholds().get(strategy).expect("calibrated");
-        let fused = model
-            .try_verdict_matrix(&bundle.test.features, strategy)
-            .expect("fused path");
-        let reference = clf.verdicts(&bundle.test.features, strategy, tau);
-        assert_eq!(fused.len(), reference.len());
-        for i in 0..fused.len() {
-            let (f, r) = (fused.verdict(i), reference.verdict(i));
-            assert_eq!(
-                f.score.to_bits(),
-                r.score.to_bits(),
-                "{} row {i}: fused vs reference score",
-                strategy.name()
-            );
-            assert_eq!(f.class, r.class, "{} row {i}: class", strategy.name());
-        }
-        // The verdict scores are the same Eq. 9 scalars try_score_matrix
-        // serves — the verdict API is a superset, not a fork.
-        let scalars = model
-            .try_score_matrix(&bundle.test.features)
-            .expect("fitted");
-        for (i, s) in scalars.iter().enumerate() {
-            assert_eq!(
-                s.to_bits(),
-                fused.verdict(i).score.to_bits(),
-                "{} row {i}: scalar vs verdict score",
-                strategy.name()
-            );
-        }
-    }
-}
-
-#[test]
 fn verdicts_without_calibration_fail_with_a_typed_error() {
     let bundle = GeneratorSpec::quick_demo().generate(7);
     let mut model = TargAd::try_new(TargAdConfig::fast()).expect("valid config");
